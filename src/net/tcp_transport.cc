@@ -5,8 +5,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <pthread.h>
-#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -177,8 +175,6 @@ applyEnv(TransportOptions opts)
                 "SKYWAY_NET_QUEUE_LIMIT must be an integer (0 = off)");
         opts.maxQueuedBytesPerStream = static_cast<std::size_t>(v);
     }
-    if (const char *e = std::getenv("SKYWAY_NET_AFFINITY"))
-        opts.pinEventLoops = e[0] == '1';
     return opts;
 }
 
@@ -1342,17 +1338,6 @@ TcpTransport::drainSends(NodeId node)
 void
 TcpTransport::eventLoop(NodeId node)
 {
-    if (options_.pinEventLoops) {
-        unsigned hw = std::thread::hardware_concurrency();
-        if (hw > 0) {
-            cpu_set_t set;
-            CPU_ZERO(&set);
-            CPU_SET(static_cast<unsigned>(node) % hw, &set);
-            ::pthread_setaffinity_np(::pthread_self(), sizeof(set),
-                                     &set);
-        }
-    }
-
     Node &n = *nodes_[node];
     while (running_.load(std::memory_order_relaxed)) {
         drainGrants(node);

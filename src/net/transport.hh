@@ -78,8 +78,8 @@ struct RequestOptions
  * Construction-time knobs for a transport. Only the TCP transport
  * reads them; the model transport has no wire to tune. Environment
  * variables override these defaults so benches can sweep without a
- * rebuild: SKYWAY_NET_CREDIT_BYTES, SKYWAY_NET_QUEUE_LIMIT,
- * SKYWAY_NET_AFFINITY=1 (see docs/TRANSPORT.md §6).
+ * rebuild: SKYWAY_NET_CREDIT_BYTES, SKYWAY_NET_QUEUE_LIMIT (see
+ * docs/TRANSPORT.md §6).
  */
 struct TransportOptions
 {
@@ -101,14 +101,6 @@ struct TransportOptions
      * separate thread.
      */
     std::size_t maxQueuedBytesPerStream = 0;
-
-    /**
-     * Pin node i's event loop to hardware core i mod
-     * hardware_concurrency (DShuffle-style core affinity). Off by
-     * default: on small hosts pinning every loop to the same core
-     * serialises the fabric.
-     */
-    bool pinEventLoops = false;
 };
 
 /**

@@ -49,6 +49,23 @@ struct SkywaySendStats
     std::uint64_t pointerBytes = 0;
     std::uint64_t paddingBytes = 0;
     std::uint64_t dataBytes = 0;
+
+    /** Fold another stream's counts into these (per-stream totals). */
+    SkywaySendStats &
+    operator+=(const SkywaySendStats &o)
+    {
+        objectsCopied += o.objectsCopied;
+        bytesCopied += o.bytesCopied;
+        topMarks += o.topMarks;
+        backRefs += o.backRefs;
+        hashFallbacks += o.hashFallbacks;
+        casRetries += o.casRetries;
+        headerBytes += o.headerBytes;
+        pointerBytes += o.pointerBytes;
+        paddingBytes += o.paddingBytes;
+        dataBytes += o.dataBytes;
+        return *this;
+    }
 };
 
 /**

@@ -226,18 +226,7 @@ SkywaySerializer::endStream(ByteSink &out)
                     wireValidator_->firstFault());
     }
     out.writeU32(0);
-    // Fold this stream's stats into the running totals.
-    const SkywaySendStats &s = sender_->stats();
-    doneStats_.objectsCopied += s.objectsCopied;
-    doneStats_.bytesCopied += s.bytesCopied;
-    doneStats_.topMarks += s.topMarks;
-    doneStats_.backRefs += s.backRefs;
-    doneStats_.hashFallbacks += s.hashFallbacks;
-    doneStats_.casRetries += s.casRetries;
-    doneStats_.headerBytes += s.headerBytes;
-    doneStats_.pointerBytes += s.pointerBytes;
-    doneStats_.paddingBytes += s.paddingBytes;
-    doneStats_.dataBytes += s.dataBytes;
+    doneStats_ += sender_->stats();
     sender_.reset();
     outBuf_.reset();
     wireValidator_.reset();
@@ -292,19 +281,8 @@ SkywaySendStats
 SkywaySerializer::sendStats() const
 {
     SkywaySendStats total = doneStats_;
-    if (sender_) {
-        const SkywaySendStats &s = sender_->stats();
-        total.objectsCopied += s.objectsCopied;
-        total.bytesCopied += s.bytesCopied;
-        total.topMarks += s.topMarks;
-        total.backRefs += s.backRefs;
-        total.hashFallbacks += s.hashFallbacks;
-        total.casRetries += s.casRetries;
-        total.headerBytes += s.headerBytes;
-        total.pointerBytes += s.pointerBytes;
-        total.paddingBytes += s.paddingBytes;
-        total.dataBytes += s.dataBytes;
-    }
+    if (sender_)
+        total += sender_->stats();
     return total;
 }
 

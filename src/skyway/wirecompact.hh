@@ -31,7 +31,7 @@
  *                                                  primitive array, RLE
  *
  * The per-class raw/compact choice is driven by a static layout
- * estimate (optionally served by the type registry with LOOKUP) and
+ * estimate the sender computes from the class and the wire format,
  * refined by measured per-class byte accounting; the threshold scales
  * with the link's ns-per-byte cost so compaction pays no CPU tax
  * where bandwidth is free (see WirePolicy).
@@ -86,9 +86,9 @@ constexpr std::uint8_t ctPrimArrayRle = 0x07;
 /** Zero runs shorter than this stay literal in the RLE coder. */
 constexpr std::size_t rleMinZeroRun = 16;
 
-/** LEB128 append / measure (shared by the encoder, the SkywaySan
- *  corruption harness, and registry hints — inline so the sanitize
- *  library needs no link dependency on the send path). */
+/** LEB128 append / measure (shared by the encoder and the SkywaySan
+ *  corruption harness — inline so the sanitize library needs no link
+ *  dependency on the send path). */
 inline void
 putVarU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 {
@@ -115,8 +115,8 @@ varLen(std::uint64_t v)
  * wire bytes (0–100). Pure layout arithmetic: header + padding +
  * (8 − ~2) per reference slot over the raw record size, using a
  * 16-element guess for arrays (the measured feedback loop corrects
- * for real array sizes). This is the hint value the type registry
- * caches and serves with LOOKUP.
+ * for real array sizes). Every node computes it for itself from the
+ * klass it holds; nothing carries it across the wire.
  */
 int staticSavingPercent(const Klass *k, const ObjectFormat &wire_fmt);
 

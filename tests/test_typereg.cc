@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/bytebuffer.hh"
 #include "typereg/registry.hh"
 
 namespace skyway
@@ -185,6 +186,43 @@ TEST_F(TypeRegTest, ViewEncodingRoundTrips)
     EXPECT_EQ(worker.viewSize(), driver.size());
     EXPECT_EQ(worker.nameForId(driver.idForClass("app.Extra")),
               "app.Extra");
+
+    // The REQUEST_VIEW reply is exactly the varint class count
+    // followed by the encoded names in id order — nothing else.
+    VectorSink expected;
+    expected.writeVarU64(driver.size());
+    for (std::size_t id = 0; id < driver.size(); ++id)
+        expected.writeString(
+            driver.nameForId(static_cast<std::int32_t>(id)));
+    EXPECT_EQ(view, expected.takeBytes());
+    EXPECT_EQ(net_.request(2, 0, regmsg::requestView, {}),
+              driver.encodeView());
+}
+
+TEST_F(TypeRegTest, LookupRepliesCarryOnlyIdAndName)
+{
+    driverKt_->load("app.Record");
+    TypeRegistryDriver driver(net_, 0, *driverKt_);
+
+    // LOOKUP (here registering a class the driver never loaded): the
+    // reply is exactly the 4-byte id.
+    VectorSink ask;
+    ask.writeString("app.Late");
+    auto reply = net_.request(1, 0, regmsg::lookup, ask.takeBytes());
+    VectorSink id;
+    id.writeI32(driver.idForClass("app.Late"));
+    EXPECT_EQ(reply, id.takeBytes());
+    // Answering it registers a name; it loads nothing on the driver.
+    EXPECT_EQ(driverKt_->findLoaded("app.Late"), nullptr);
+
+    // LOOKUP_NAME: the reply is exactly the encoded name.
+    std::int32_t recordId = driver.idForClass("app.Record");
+    VectorSink askName;
+    askName.writeI32(recordId);
+    reply = net_.request(1, 0, regmsg::lookupName, askName.takeBytes());
+    VectorSink name;
+    name.writeString("app.Record");
+    EXPECT_EQ(reply, name.takeBytes());
 }
 
 } // namespace

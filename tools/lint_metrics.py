@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Metric-name lint: keep src/ and docs/OBSERVABILITY.md in sync.
+"""Metric- and span-name lint: keep src/ and docs/OBSERVABILITY.md in sync.
 
 Extracts every metric registration literal in src/ --
 ``counter("...")``, ``gauge("...")``, ``histogram("...")`` -- and every
 backticked dotted metric name in the "Metric namespace" section of
 docs/OBSERVABILITY.md, then fails if either set has an entry the other
-lacks. Registered as the `lint-metrics` CTest target.
+lacks. Span names get the same two-way check: every
+``SKYWAY_SPAN("...")`` literal in src/ against the backticked names in
+the docs' "Instrumented spans:" list. Registered as the `lint-metrics`
+CTest target.
 """
 
 import pathlib
@@ -14,15 +17,17 @@ import sys
 
 REG_RE = re.compile(r'\b(?:counter|gauge|histogram)\(\s*"([a-z0-9_.]+)"')
 DOC_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)`")
+SPAN_RE = re.compile(r'\bSKYWAY_SPAN\(\s*"([A-Za-z0-9_.]+)"')
+DOC_SPAN_RE = re.compile(r"`([a-z][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)+)`")
 
 
-def code_names(src: pathlib.Path) -> dict:
+def code_names(src: pathlib.Path, pattern: re.Pattern) -> dict:
     names = {}
     for path in sorted(src.rglob("*.cc")) + sorted(src.rglob("*.hh")):
         for i, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), 1
         ):
-            for name in REG_RE.findall(line):
+            for name in pattern.findall(line):
                 names.setdefault(name, f"{path}:{i}")
     return names
 
@@ -41,22 +46,40 @@ def doc_names(doc: pathlib.Path) -> dict:
     return names
 
 
-def main() -> int:
-    root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".")
-    code = code_names(root / "src")
-    docs = doc_names(root / "docs" / "OBSERVABILITY.md")
+def doc_span_names(doc: pathlib.Path) -> dict:
+    """Backticked names in the "Instrumented spans:" paragraph."""
+    text = doc.read_text(encoding="utf-8")
+    start = text.find("Instrumented spans:")
+    if start < 0:
+        sys.exit(f"lint-metrics: no 'Instrumented spans:' list in {doc}")
+    end = text.find("\n\n", start)
+    para = text[start : end if end > 0 else len(text)]
+    return {name: f"{doc} (span list)" for name in DOC_SPAN_RE.findall(para)}
 
+
+def drift(kind: str, code: dict, docs: dict) -> list:
     failures = []
     for name in sorted(set(code) - set(docs)):
         failures.append(
-            f"registered in code but missing from the docs table: "
+            f"{kind} in code but missing from the docs: "
             f"{name} ({code[name]})"
         )
     for name in sorted(set(docs) - set(code)):
         failures.append(
-            f"documented but never registered in src/: "
+            f"{kind} documented but never used in src/: "
             f"{name} ({docs[name]})"
         )
+    return failures
+
+
+def main() -> int:
+    root = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+    doc = root / "docs" / "OBSERVABILITY.md"
+    code = code_names(root / "src", REG_RE)
+    spans = code_names(root / "src", SPAN_RE)
+
+    failures = drift("metric", code, doc_names(doc))
+    failures += drift("span", spans, doc_span_names(doc))
 
     if failures:
         print("lint-metrics FAILED:")
@@ -64,8 +87,8 @@ def main() -> int:
             print(f"  {f}")
         return 1
     print(
-        f"lint-metrics OK: {len(code)} metric names match between "
-        f"src/ and docs/OBSERVABILITY.md"
+        f"lint-metrics OK: {len(code)} metric names and {len(spans)} "
+        f"span names match between src/ and docs/OBSERVABILITY.md"
     )
     return 0
 

@@ -76,6 +76,35 @@ printRatioLine(const char *name, const std::vector<double> &v)
                 std::exp(logsum / v.size()));
 }
 
+/**
+ * Fatal unless the Skyway cell's receivers committed every shipped
+ * byte in place: with compaction pinned off, each raw segment lands
+ * through reserve/commit, so skyway.receiver.zero_copy_bytes must
+ * equal the senders' copied records plus one word per top mark and
+ * two per backward reference, over the cell's registry deltas.
+ */
+void
+checkZeroCopy(const std::string &label,
+              const obs::MetricsSnapshot &before)
+{
+    obs::MetricsSnapshot delta =
+        obs::MetricsRegistry::global().snapshot().deltaSince(before);
+    auto get = [&delta](std::string_view name) {
+        for (const auto &[k, v] : delta.scalars)
+            if (k == name)
+                return static_cast<std::uint64_t>(v);
+        return std::uint64_t{0};
+    };
+    std::uint64_t payload = get("skyway.sender.bytes_copied") +
+                            wordSize * get("skyway.sender.top_marks") +
+                            2 * wordSize * get("skyway.sender.back_refs");
+    std::uint64_t zero_copy = get("skyway.receiver.zero_copy_bytes");
+    if (zero_copy != payload)
+        fatal("bench_fig8a_spark: " + label + ": zero_copy_bytes " +
+              std::to_string(zero_copy) + " != sender payload " +
+              std::to_string(payload));
+}
+
 } // namespace
 
 int
@@ -103,25 +132,35 @@ main(int argc, char **argv)
         std::vector<std::string> text = edgeListAsText(g);
         for (const std::string &app : apps) {
             for (const std::string &ser : serializers) {
-                auto row = report.row(spec.name + "-" + app + "/" +
-                                      ser);
-                bench::SparkSetup setup = bench::makeSparkSetup(ser);
-                SparkConfig cfg;
-                // TriangleCounting's wedge shuffles tenure hundreds
-                // of MB of live records on the larger graphs.
-                cfg.workerHeap.oldBytes = 3072ull << 20;
-                auto cluster = bench::makeCluster(cat, setup, cfg);
+                const std::string label =
+                    spec.name + "-" + app + "/" + ser;
+                auto row = report.row(label);
+                obs::MetricsSnapshot before =
+                    obs::MetricsRegistry::global().snapshot();
                 SparkAppResult res;
-                if (app == "WC")
-                    res = runWordCount(*cluster, text);
-                else if (app == "CC")
-                    res = runConnectedComponents(*cluster, g);
-                else if (app == "PR")
-                    res = runPageRank(*cluster, g, 5);
-                else
-                    res = runTriangleCount(*cluster, g);
-                bench::printBreakdownRow(
-                    spec.name + "-" + app + "/" + ser, res.average);
+                {
+                    bench::SparkSetup setup =
+                        bench::makeSparkSetup(ser);
+                    SparkConfig cfg;
+                    // TriangleCounting's wedge shuffles tenure
+                    // hundreds of MB of live records on the larger
+                    // graphs.
+                    cfg.workerHeap.oldBytes = 3072ull << 20;
+                    auto cluster = bench::makeCluster(cat, setup, cfg);
+                    if (app == "WC")
+                        res = runWordCount(*cluster, text);
+                    else if (app == "CC")
+                        res = runConnectedComponents(*cluster, g);
+                    else if (app == "PR")
+                        res = runPageRank(*cluster, g, 5);
+                    else
+                        res = runTriangleCount(*cluster, g);
+                }
+                // The cluster is gone: every sender and receiver has
+                // published its counters.
+                if (ser == "skyway")
+                    checkZeroCopy(label, before);
+                bench::printBreakdownRow(label, res.average);
                 row.value("compute_ms", res.average.computeNs / 1e6);
                 row.value("ser_ms", res.average.serNs / 1e6);
                 row.value("write_ms", res.average.writeIoNs / 1e6);

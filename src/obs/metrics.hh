@@ -220,4 +220,18 @@ class MetricsRegistry
 } // namespace obs
 } // namespace skyway
 
+/**
+ * Publish-delta step for one STAT(member, metric) entry of a stats
+ * field list (skyway/sender.hh, skyway/inputbuffer.hh): add
+ * `stats_.member - published_.member` to the global counter @p metric,
+ * registered once per process. Expands inside a member function of a
+ * class holding `stats_` and `published_`.
+ */
+#define SKYWAY_PUBLISH_STAT_DELTA(member, metric)                     \
+    {                                                                 \
+        static ::skyway::obs::Counter &c =                            \
+            ::skyway::obs::MetricsRegistry::global().counter(metric); \
+        c.add(stats_.member - published_.member);                     \
+    }
+
 #endif // SKYWAY_OBS_METRICS_HH

@@ -15,43 +15,6 @@
 namespace skyway
 {
 
-namespace
-{
-
-/** Registry-backed receiver counters, resolved once per process. */
-struct ReceiverMetrics
-{
-    obs::Counter &objectsReceived;
-    obs::Counter &bytesReceived;
-    obs::Counter &chunksAllocated;
-    obs::Counter &oversizedChunks;
-    obs::Counter &refsAbsolutized;
-    obs::Counter &fieldUpdatesApplied;
-    obs::Counter &zeroCopyBytes;
-    obs::Counter &expandedBytes;
-    obs::Counter &expandNs;
-
-    static ReceiverMetrics &
-    get()
-    {
-        auto &r = obs::MetricsRegistry::global();
-        static ReceiverMetrics m{
-            r.counter("skyway.receiver.objects_received"),
-            r.counter("skyway.receiver.bytes_received"),
-            r.counter("skyway.receiver.chunks_allocated"),
-            r.counter("skyway.receiver.oversized_chunks"),
-            r.counter("skyway.receiver.refs_absolutized"),
-            r.counter("skyway.receiver.field_updates_applied"),
-            r.counter("skyway.receiver.zero_copy_bytes"),
-            r.counter("skyway.receiver.expanded_bytes"),
-            r.counter("skyway.receiver.expand_ns"),
-        };
-        return m;
-    }
-};
-
-} // namespace
-
 InputBuffer::InputBuffer(SkywayContext &ctx, std::size_t chunk_bytes)
     : ctx_(ctx),
       heap_(ctx.heap()),
@@ -126,24 +89,7 @@ InputBuffer::newChunk(std::size_t at_least)
 void
 InputBuffer::publishMetrics()
 {
-    ReceiverMetrics &m = ReceiverMetrics::get();
-    m.objectsReceived.add(stats_.objectsReceived -
-                          published_.objectsReceived);
-    m.bytesReceived.add(stats_.bytesReceived -
-                        published_.bytesReceived);
-    m.chunksAllocated.add(stats_.chunksAllocated -
-                          published_.chunksAllocated);
-    m.oversizedChunks.add(stats_.oversizedChunks -
-                          published_.oversizedChunks);
-    m.refsAbsolutized.add(stats_.refsAbsolutized -
-                          published_.refsAbsolutized);
-    m.fieldUpdatesApplied.add(stats_.fieldUpdatesApplied -
-                              published_.fieldUpdatesApplied);
-    m.zeroCopyBytes.add(stats_.zeroCopyBytes -
-                        published_.zeroCopyBytes);
-    m.expandedBytes.add(stats_.expandedBytes -
-                        published_.expandedBytes);
-    m.expandNs.add(stats_.expandNs - published_.expandNs);
+    SKYWAY_RECEIVE_STATS(SKYWAY_PUBLISH_STAT_DELTA)
     published_ = stats_;
 }
 
@@ -165,20 +111,13 @@ InputBuffer::reserveChunk(std::size_t len)
 void
 InputBuffer::commitChunk(std::size_t len)
 {
-    commitReserved(len, /*zero_copy=*/true, /*already_validated=*/false);
-}
-
-void
-InputBuffer::commitReserved(std::size_t len, bool zero_copy,
-                            bool already_validated)
-{
     SKYWAY_SPAN("receiver.commit");
     panicIf(finalized_, "InputBuffer: commit after finalize");
     panicIf(reserved_ == nullptr,
             "InputBuffer: commit without a reservation");
     panicIf(len > reservedLen_,
             "InputBuffer: commit exceeds the reservation");
-    if (validator_ && !already_validated) {
+    if (validator_) {
         // Fail on the validator's verdict *before* the parser touches
         // the segment: the parser assumes well-formed input (a forged
         // type id would panic deep inside the registry with no
@@ -213,6 +152,13 @@ InputBuffer::commitReserved(std::size_t len, bool zero_copy,
     while (off < len) {
         std::uint8_t *rec = reserved_ + off;
         Address pa = reinterpret_cast<Address>(rec);
+        // Every read below is bounds-checked first: a truncated or
+        // forged segment must not read past the reservation. (The
+        // per-record checks use `if (...) panic(...)`: panicIf's
+        // std::string parameter would build the message per record.)
+        std::size_t avail = len - off;
+        if (avail < wordSize)
+            panic("InputBuffer: truncated record");
         // Marker words delimit top-level objects; they occupy no
         // logical address space. With the segment already sitting in
         // chunk storage they are consumed and overwritten in place
@@ -223,15 +169,13 @@ InputBuffer::commitReserved(std::size_t len, bool zero_copy,
         std::memcpy(&first, rec, wordSize);
         if (marker::isMarker(first)) {
             if (first == marker::topMark) {
-                panicIf(off + wordSize > len,
-                        "InputBuffer: truncated marker");
                 // The next record is a top-level object.
                 pendingRoots_.push_back(RootSpec{false, logical_});
                 heap_.writeFillerAny(pa, wordSize);
                 off += wordSize;
             } else if (first == marker::backRef) {
-                panicIf(off + 2 * wordSize > len,
-                        "InputBuffer: truncated marker");
+                if (avail < 2 * wordSize)
+                    panic("InputBuffer: truncated marker");
                 Word slot;
                 std::memcpy(&slot, rec + wordSize, wordSize);
                 pendingRoots_.push_back(RootSpec{true, slot});
@@ -243,12 +187,16 @@ InputBuffer::commitReserved(std::size_t len, bool zero_copy,
             continue;
         }
 
+        if (avail < fmt_.headerBytes())
+            panic("InputBuffer: truncated record");
         Word tid_word;
         std::memcpy(&tid_word, rec + offsetKlass, wordSize);
         Klass *k = klassForTid(static_cast<std::int32_t>(tid_word));
+        if (k->isArray() && avail < fmt_.arrayHeaderBytes())
+            panic("InputBuffer: truncated record");
         std::size_t size = recordSize(rec, k);
-        panicIf(off + size > len,
-                "InputBuffer: record spans a streamed segment");
+        if (size > avail)
+            panic("InputBuffer: record spans a streamed segment");
 
         // Extend the open logical run, or start a new one after a
         // marker or a chunk boundary broke contiguity.
@@ -266,100 +214,16 @@ InputBuffer::commitReserved(std::size_t len, bool zero_copy,
     }
 
     chunks_.back().fill += len;
-    if (zero_copy)
-        stats_.zeroCopyBytes += len;
+    stats_.zeroCopyBytes += len;
     reserved_ = nullptr;
     reservedLen_ = 0;
-}
-
-std::size_t
-InputBuffer::itemSize(const std::uint8_t *data, std::size_t len)
-{
-    Word first;
-    std::memcpy(&first, data, wordSize);
-    if (marker::isMarker(first)) {
-        if (first == marker::topMark)
-            return wordSize;
-        if (first == marker::backRef) {
-            panicIf(len < 2 * wordSize,
-                    "InputBuffer: truncated marker");
-            return 2 * wordSize;
-        }
-        if (first == marker::compactSeg)
-            return 0; // expandSegment's job, not a batchable item
-        panic("InputBuffer: unknown marker word");
-    }
-    Word tid_word;
-    std::memcpy(&tid_word, data + offsetKlass, wordSize);
-    Klass *k = klassForTid(static_cast<std::int32_t>(tid_word));
-    std::size_t size = recordSize(data, k);
-    panicIf(size > len, "InputBuffer: record spans a streamed segment");
-    return size;
-}
-
-std::size_t
-InputBuffer::scanBatch(const std::uint8_t *data, std::size_t len,
-                       std::size_t limit)
-{
-    std::size_t off = 0;
-    while (off < len) {
-        std::size_t size = itemSize(data + off, len - off);
-        if (size == 0 || off + size > limit)
-            break;
-        off += size;
-    }
-    return off;
 }
 
 void
 InputBuffer::feed(const std::uint8_t *data, std::size_t len)
 {
-    SKYWAY_SPAN("receiver.feed");
-    panicIf(finalized_, "InputBuffer: feed after finalize");
-    if (validator_) {
-        validator_->feed(data, len);
-        panicIf(!validator_->ok(),
-                "SkywaySan: receiver wire validation failed: " +
-                    validator_->firstFault());
-    }
-    // Compatibility path for byte-owning callers: split the segment
-    // at item boundaries into batches that pack into regular-size
-    // chunks (one memcpy per batch), then run the shared in-place
-    // commit. The zero-copy path (reserveChunk/commitChunk) skips
-    // this copy entirely.
-    std::size_t off = 0;
-    while (off < len) {
-        Word lead;
-        if (len - off >= wordSize) {
-            std::memcpy(&lead, data + off, wordSize);
-            if (lead == marker::compactSeg) {
-                // Byte-owning caller: no aliasing with chunk storage,
-                // expand straight from the caller's buffer. A file
-                // stream may concatenate further segments after it.
-                off += expandSegment(data + off, len - off);
-                continue;
-            }
-        }
-        std::size_t avail = chunks_.empty()
-                                ? chunkBytes_
-                                : chunks_.back().cap -
-                                      chunks_.back().fill;
-        std::size_t batch = scanBatch(data + off, len - off, avail);
-        if (batch == 0) {
-            // Nothing fits the current chunk; size the batch for a
-            // fresh chunk (oversized when one record alone exceeds
-            // the regular chunk size).
-            std::size_t first = itemSize(data + off, len - off);
-            batch = (first >= chunkBytes_)
-                        ? first
-                        : scanBatch(data + off, len - off, chunkBytes_);
-        }
-        std::uint8_t *dst = reserveChunk(batch);
-        std::memcpy(dst, data + off, batch);
-        commitReserved(batch, /*zero_copy=*/false,
-                       /*already_validated=*/true);
-        off += batch;
-    }
+    std::memcpy(reserveChunk(len), data, len);
+    commitChunk(len);
 }
 
 std::size_t

@@ -9,19 +9,17 @@
  * oversized chunks are created for objects larger than the regular
  * chunk size.
  *
- * Ingest is zero-copy: the transport calls reserveChunk(len) to get a
- * pointer directly into old-gen chunk storage, writes the streamed
+ * Ingest has one path: the transport calls reserveChunk(len) to get
+ * a pointer directly into old-gen chunk storage, writes the streamed
  * segment there (a socket receive, a modeled NIC DMA, a disk read),
  * and calls commitChunk(len). The commit parses the records *in
  * place*: marker words (top marks, backward references) are consumed
  * and overwritten with heap filler records — they occupy physical
  * chunk space but no logical (relative-address) space — and every
  * maximal marker-free stretch of records becomes one logical *run* in
- * the relative→absolute translation table. The legacy feed() entry
- * point remains as the compatibility path for byte-owning callers
- * (framed serializer streams, in-memory tests): it copies each
- * segment once into the reservation, packing records into chunks at
- * record granularity exactly as before.
+ * the relative→absolute translation table. feed() is the same path
+ * for byte-owning callers (framed serializer and file streams,
+ * in-memory tests): reserve, one memcpy, commit.
  *
  * While streaming, chunks are pinned *opaque* (klass words still hold
  * type IDs, references are still relative), so the GC neither walks
@@ -55,31 +53,34 @@ class WireValidator;
 constexpr std::size_t defaultInputChunkBytes = 256 << 10;
 
 /**
- * Receiver-side statistics. Legacy per-buffer accessor: the same
- * quantities are published process-wide as `skyway.receiver.*`
- * metrics (docs/OBSERVABILITY.md).
+ * Receiver-side statistics, one entry per field: STAT(member, metric).
+ * The list drives SkywayReceiveStats and the `skyway.receiver.*`
+ * counters InputBuffer::publishMetrics() feeds (docs/OBSERVABILITY.md).
+ *
+ * zeroCopyBytes counts the raw segment bytes committed in place.
+ * Compact segments (docs/WIRE_FORMAT.md) are excluded: their wire
+ * bytes are staged out and re-expanded, so the zero-copy invariant
+ * (wire bytes == chunk bytes) does not hold for them; expandedBytes
+ * holds the full-format bytes they produced and expandNs the wall
+ * time spent in the expander.
  */
+#define SKYWAY_RECEIVE_STATS(STAT)                                     \
+    STAT(objectsReceived, "skyway.receiver.objects_received")          \
+    STAT(bytesReceived, "skyway.receiver.bytes_received")              \
+    STAT(chunksAllocated, "skyway.receiver.chunks_allocated")          \
+    STAT(oversizedChunks, "skyway.receiver.oversized_chunks")          \
+    STAT(refsAbsolutized, "skyway.receiver.refs_absolutized")          \
+    STAT(fieldUpdatesApplied, "skyway.receiver.field_updates_applied") \
+    STAT(zeroCopyBytes, "skyway.receiver.zero_copy_bytes")             \
+    STAT(expandedBytes, "skyway.receiver.expanded_bytes")              \
+    STAT(expandNs, "skyway.receiver.expand_ns")
+
+/** Per-buffer view of the receiver statistics. */
 struct SkywayReceiveStats
 {
-    std::uint64_t objectsReceived = 0;
-    std::uint64_t bytesReceived = 0;
-    std::uint64_t chunksAllocated = 0;
-    std::uint64_t oversizedChunks = 0;
-    std::uint64_t refsAbsolutized = 0;
-    std::uint64_t fieldUpdatesApplied = 0;
-    /**
-     * Segment bytes the transport wrote directly into chunk storage
-     * *and* parsed in place. Compact segments (docs/WIRE_FORMAT.md)
-     * are excluded even on the reserveChunk path: their wire bytes
-     * are staged out and re-expanded, so the zero-copy invariant
-     * (wire bytes == chunk bytes) does not hold for them — see
-     * expandedBytes for what they produced.
-     */
-    std::uint64_t zeroCopyBytes = 0;
-    /** Full-format bytes produced by re-expanding compact segments. */
-    std::uint64_t expandedBytes = 0;
-    /** Wall time spent in the compact-segment expander. */
-    std::uint64_t expandNs = 0;
+#define SKYWAY_STAT_FIELD(member, metric) std::uint64_t member = 0;
+    SKYWAY_RECEIVE_STATS(SKYWAY_STAT_FIELD)
+#undef SKYWAY_STAT_FIELD
 };
 
 class InputBuffer
@@ -111,18 +112,19 @@ class InputBuffer
 
     /**
      * Zero-copy ingest, step 2: the transport wrote @p len bytes
-     * (<= the reserved length) of whole records into the reservation;
-     * validate and parse them in place. Counted in
-     * `skyway.receiver.zero_copy_bytes`.
+     * (<= the reserved length) into the reservation — whole raw
+     * records, or exactly one compact segment. Validate them, then
+     * parse raw records in place (counted in
+     * `skyway.receiver.zero_copy_bytes`) or expand the compact
+     * segment.
      */
     void commitChunk(std::size_t len);
 
     /**
-     * Compatibility ingest for byte-owning callers: copies the
-     * streamed segment once into chunk reservations, splitting at
-     * record boundaries so records pack into regular-size chunks.
-     * Segments contain whole records (the sender never splits a
-     * record across flushes).
+     * Ingest for byte-owning callers: reserveChunk(len), one memcpy of
+     * @p data, commitChunk(len). The contract is commitChunk's; a
+     * segment larger than the chunk size lands in one oversized
+     * chunk.
      */
     void feed(const std::uint8_t *data, std::size_t len);
 
@@ -183,35 +185,11 @@ class InputBuffer
     void newChunk(std::size_t at_least);
 
     /**
-     * Shared commit: validate (unless the caller already did), then
-     * parse the @p len committed bytes of the open reservation in
-     * place — markers become fillers and root specs, records extend
-     * or open logical runs.
-     */
-    void commitReserved(std::size_t len, bool zero_copy,
-                        bool already_validated);
-
-    /**
-     * Byte length of the longest prefix of whole items (markers or
-     * records) of @p data that fits in @p limit bytes. Returns 0 when
-     * the first item alone does not fit.
-     */
-    std::size_t scanBatch(const std::uint8_t *data, std::size_t len,
-                          std::size_t limit);
-
-    /**
-     * Size of the single item (marker or record) at @p data; 0 when
-     * the item is a compact-segment marker (the caller must hand the
-     * stream to expandSegment instead of batching further).
-     */
-    std::size_t itemSize(const std::uint8_t *data, std::size_t len);
-
-    /**
      * Re-expand the compact segment at @p data (marker + varint
      * length + items) into full heap-format records placed through
      * the regular chunk/run machinery; returns the consumed wire
-     * bytes. The caller owns @p data — it must not alias chunk
-     * storage (the commit path stages the bytes out first).
+     * bytes. @p data must not alias chunk storage (commitChunk
+     * stages the bytes out first).
      */
     std::size_t expandSegment(const std::uint8_t *data,
                               std::size_t len);
@@ -231,7 +209,7 @@ class InputBuffer
     /**
      * Push the delta of stats_ since the last publication into the
      * `skyway.receiver.*` counters. Runs at buffer boundaries —
-     * finalize() and destruction — never per feed() or per record,
+     * finalize() and destruction — never per commit or per record,
      * keeping the receive hot path free of atomics.
      */
     void publishMetrics();

@@ -19,40 +19,6 @@ encodeSlot(std::uint64_t rel)
     return rel + 1;
 }
 
-/** Registry-backed sender counters, resolved once per process. */
-struct SenderMetrics
-{
-    obs::Counter &objectsCopied;
-    obs::Counter &bytesCopied;
-    obs::Counter &topMarks;
-    obs::Counter &backRefs;
-    obs::Counter &hashFallbacks;
-    obs::Counter &casRetries;
-    obs::Counter &headerBytes;
-    obs::Counter &pointerBytes;
-    obs::Counter &paddingBytes;
-    obs::Counter &dataBytes;
-
-    static SenderMetrics &
-    get()
-    {
-        auto &r = obs::MetricsRegistry::global();
-        static SenderMetrics m{
-            r.counter("skyway.sender.objects_copied"),
-            r.counter("skyway.sender.bytes_copied"),
-            r.counter("skyway.sender.top_marks"),
-            r.counter("skyway.sender.back_refs"),
-            r.counter("skyway.sender.hash_fallbacks"),
-            r.counter("skyway.sender.cas_retries"),
-            r.counter("skyway.sender.header_bytes"),
-            r.counter("skyway.sender.pointer_bytes"),
-            r.counter("skyway.sender.padding_bytes"),
-            r.counter("skyway.sender.data_bytes"),
-        };
-        return m;
-    }
-};
-
 } // namespace
 
 SkywaySender::SkywaySender(SkywayContext &ctx, OutputBuffer &ob,
@@ -257,19 +223,7 @@ SkywaySender::writeRecord(Address s, std::uint64_t addr)
 void
 SkywaySender::publishMetrics()
 {
-    SenderMetrics &m = SenderMetrics::get();
-    m.objectsCopied.add(stats_.objectsCopied -
-                        published_.objectsCopied);
-    m.bytesCopied.add(stats_.bytesCopied - published_.bytesCopied);
-    m.topMarks.add(stats_.topMarks - published_.topMarks);
-    m.backRefs.add(stats_.backRefs - published_.backRefs);
-    m.hashFallbacks.add(stats_.hashFallbacks -
-                        published_.hashFallbacks);
-    m.casRetries.add(stats_.casRetries - published_.casRetries);
-    m.headerBytes.add(stats_.headerBytes - published_.headerBytes);
-    m.pointerBytes.add(stats_.pointerBytes - published_.pointerBytes);
-    m.paddingBytes.add(stats_.paddingBytes - published_.paddingBytes);
-    m.dataBytes.add(stats_.dataBytes - published_.dataBytes);
+    SKYWAY_SEND_STATS(SKYWAY_PUBLISH_STAT_DELTA)
     published_ = stats_;
 }
 

@@ -30,40 +30,38 @@ namespace skyway
 {
 
 /**
- * Sender-side statistics (tests and the byte-composition bench).
- * Legacy per-stream accessor: the same quantities are published
- * process-wide as `skyway.sender.*` metrics (docs/OBSERVABILITY.md);
- * this struct remains as the thin per-stream compatibility view.
+ * Sender-side statistics, one entry per field: STAT(member, metric).
+ * The list drives SkywaySendStats, its operator+=, and the
+ * `skyway.sender.*` counters SkywaySender::publishMetrics() feeds
+ * (docs/OBSERVABILITY.md). The last four entries are the byte
+ * composition of the copied data (paper section 5.2).
  */
+#define SKYWAY_SEND_STATS(STAT)                         \
+    STAT(objectsCopied, "skyway.sender.objects_copied") \
+    STAT(bytesCopied, "skyway.sender.bytes_copied")     \
+    STAT(topMarks, "skyway.sender.top_marks")           \
+    STAT(backRefs, "skyway.sender.back_refs")           \
+    STAT(hashFallbacks, "skyway.sender.hash_fallbacks") \
+    STAT(casRetries, "skyway.sender.cas_retries")       \
+    STAT(headerBytes, "skyway.sender.header_bytes")     \
+    STAT(pointerBytes, "skyway.sender.pointer_bytes")   \
+    STAT(paddingBytes, "skyway.sender.padding_bytes")   \
+    STAT(dataBytes, "skyway.sender.data_bytes")
+
+/** Per-stream view of the sender statistics (tests, benches). */
 struct SkywaySendStats
 {
-    std::uint64_t objectsCopied = 0;
-    std::uint64_t bytesCopied = 0;
-    std::uint64_t topMarks = 0;
-    std::uint64_t backRefs = 0;
-    std::uint64_t hashFallbacks = 0;
-    std::uint64_t casRetries = 0;
-
-    /** Byte composition of the copied data (paper section 5.2). */
-    std::uint64_t headerBytes = 0;
-    std::uint64_t pointerBytes = 0;
-    std::uint64_t paddingBytes = 0;
-    std::uint64_t dataBytes = 0;
+#define SKYWAY_STAT_FIELD(member, metric) std::uint64_t member = 0;
+    SKYWAY_SEND_STATS(SKYWAY_STAT_FIELD)
+#undef SKYWAY_STAT_FIELD
 
     /** Fold another stream's counts into these (per-stream totals). */
     SkywaySendStats &
     operator+=(const SkywaySendStats &o)
     {
-        objectsCopied += o.objectsCopied;
-        bytesCopied += o.bytesCopied;
-        topMarks += o.topMarks;
-        backRefs += o.backRefs;
-        hashFallbacks += o.hashFallbacks;
-        casRetries += o.casRetries;
-        headerBytes += o.headerBytes;
-        pointerBytes += o.pointerBytes;
-        paddingBytes += o.paddingBytes;
-        dataBytes += o.dataBytes;
+#define SKYWAY_STAT_ADD(member, metric) member += o.member;
+        SKYWAY_SEND_STATS(SKYWAY_STAT_ADD)
+#undef SKYWAY_STAT_ADD
         return *this;
     }
 };

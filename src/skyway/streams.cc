@@ -31,6 +31,36 @@ teeIntoValidator(OutputBuffer::FlushFn sink, sanitize::WireValidator *v)
     };
 }
 
+/**
+ * Frame each flushed segment as [u32 length][segment] through
+ * @p write, the byte-stream framing of SkywaySerializer and the file
+ * streams.
+ */
+OutputBuffer::FlushFn
+framed(std::function<void(const void *, std::size_t)> write)
+{
+    return [write = std::move(write)](const std::uint8_t *data,
+                                      std::size_t len) {
+        auto frame_len = static_cast<std::uint32_t>(len);
+        write(&frame_len, sizeof(frame_len));
+        write(data, len);
+    };
+}
+
+/**
+ * Land the next frame of @p in in @p stream; false at a zero length
+ * (the serializer's end-of-stream frame).
+ */
+bool
+feedFrame(ByteSource &in, SkywayObjectInputStream &stream)
+{
+    std::uint32_t len = in.readU32();
+    if (len == 0)
+        return false;
+    stream.feed(in.view(len), len);
+    return true;
+}
+
 } // namespace
 
 SkywayObjectOutputStream::SkywayObjectOutputStream(
@@ -78,10 +108,10 @@ SkywayFileOutputStream::SkywayFileOutputStream(
     std::size_t buffer_bytes, std::shared_ptr<std::uint64_t> write_ns)
     : SkywayObjectOutputStream(
           ctx,
-          [&disk, file_name, write_ns](const std::uint8_t *data,
-                                       std::size_t len) {
+          framed([&disk, file_name, write_ns](const void *data,
+                                              std::size_t len) {
               *write_ns += disk.appendFile(file_name, data, len);
-          },
+          }),
           buffer_bytes),
       writeNs_(write_ns)
 {
@@ -95,8 +125,10 @@ SkywayFileInputStream::SkywayFileInputStream(SkywayContext &ctx,
 {
     const auto &bytes = disk.file(file_name);
     readNs_ = disk.chargeRead(bytes.size());
-    if (!bytes.empty())
-        feed(bytes.data(), bytes.size());
+    // Each frame is one flushed segment, landed as its own commit.
+    ByteSource in(bytes);
+    while (!in.atEnd() && feedFrame(in, *this)) {
+    }
     finish();
 }
 
@@ -193,10 +225,9 @@ SkywaySerializer::bindSink(ByteSink &out)
         teeIntoValidator(
             compactStage(
                 ctx_, ctx_.heap().format(),
-                [sink](const std::uint8_t *data, std::size_t len) {
-                    sink->writeU32(static_cast<std::uint32_t>(len));
+                framed([sink](const void *data, std::size_t len) {
                     sink->write(data, len);
-                }),
+                })),
             wireValidator_.get()));
     sender_ = std::make_unique<SkywaySender>(ctx_, *outBuf_,
                                              ctx_.heap().format());
@@ -248,12 +279,7 @@ SkywaySerializer::ingest(ByteSource &in)
         retired_.push_back(inStream_->releaseBuffer());
     inStream_ = std::make_unique<SkywayObjectInputStream>(ctx_,
                                                           chunkBytes_);
-    while (true) {
-        std::uint32_t len = in.readU32();
-        if (len == 0)
-            break;
-        const std::uint8_t *seg = in.view(len);
-        inStream_->feed(seg, len);
+    while (feedFrame(in, *inStream_)) {
     }
     inStream_->finish();
 }

@@ -135,7 +135,11 @@ class SkywayObjectInputStream
     std::size_t cursor_ = 0;
 };
 
-/** Writer variant streaming to a SimDisk file (unframed records). */
+/**
+ * Writer variant streaming to a SimDisk file: one [u32 length]
+ * [segment] frame per flush, SkywaySerializer's framing without the
+ * zero-length terminator (the file's end ends the stream).
+ */
 class SkywayFileOutputStream : public SkywayObjectOutputStream
 {
   public:
@@ -156,7 +160,9 @@ class SkywayFileOutputStream : public SkywayObjectOutputStream
     std::shared_ptr<std::uint64_t> writeNs_;
 };
 
-/** Reader variant consuming a whole SimDisk file. */
+/**
+ * Reader variant consuming a whole SimDisk file, one commit per frame.
+ */
 class SkywayFileInputStream : public SkywayObjectInputStream
 {
   public:

@@ -1,6 +1,6 @@
 // lint-invariants fixture (MUST FAIL rule 3): the compact-segment
 // expander reaches a blocking socket write through a helper — it
-// would wedge the event loop that drives commitReserved. Not
+// would wedge the event loop that drives commitChunk. Not
 // compiled — parsed by tools/lint_invariants.py --selftest.
 
 void

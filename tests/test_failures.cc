@@ -109,6 +109,26 @@ TEST_F(FailureTest, SkywayUnknownMarkerWordDies)
         "unknown marker");
 }
 
+TEST_F(FailureTest, SkywayTruncatedWordDies)
+{
+    // A segment shorter than one word: the receiver must refuse it
+    // before reading the first word.
+    SkywayObjectInputStream in(b_.skyway());
+    std::uint8_t bytes[3] = {0, 0, 0};
+    EXPECT_DEATH(in.feed(bytes, sizeof(bytes)), "truncated");
+}
+
+TEST_F(FailureTest, SkywayTruncatedRecordHeaderDies)
+{
+    // One zero word is a record's mark word with no klass word after
+    // it: the receiver must refuse it before reading past the segment.
+    SkywayObjectInputStream in(b_.skyway());
+    Word zero = 0;
+    EXPECT_DEATH(in.feed(reinterpret_cast<const std::uint8_t *>(&zero),
+                         sizeof(zero)),
+                 "truncated");
+}
+
 TEST_F(FailureTest, SkywayFeedAfterFinalizeDies)
 {
     a_.skyway().shuffleStart();

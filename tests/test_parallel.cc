@@ -207,12 +207,13 @@ TEST_F(ParallelTest, ContendedFanOutExercisesClaimProtocol)
     }
 }
 
-TEST_F(ParallelTest, ZeroCopyAndFeedRebuildIdentically)
+TEST_F(ParallelTest, FeedAndReserveCommitRebuildIdentically)
 {
-    // The same wire bytes through the compat copy path and the
-    // zero-copy path must yield structurally identical graphs; only
-    // the zero-copy buffer counts zero_copy_bytes. zero_copy_bytes ==
-    // wire bytes is a raw-format invariant: pin compaction off.
+    // feed() is reserve + one memcpy + commit: the same wire bytes
+    // through feed() and through an explicit reserve/commit must land
+    // in the same chunks, count every byte as zero-copy, and yield
+    // structurally identical graphs. zero_copy_bytes == wire bytes is
+    // a raw-format invariant: pin compaction off.
     nodeA_.skyway().setWireCompactMode(WireCompactMode::Off);
     nodeB_.skyway().setWireCompactMode(WireCompactMode::Off);
     LocalRoots roots(nodeA_.heap());
@@ -245,8 +246,9 @@ TEST_F(ParallelTest, ZeroCopyAndFeedRebuildIdentically)
     fed.finalize();
     std::unique_ptr<InputBuffer> zc = receiveZeroCopy(segs);
 
-    EXPECT_EQ(fed.stats().zeroCopyBytes, 0u);
+    EXPECT_EQ(fed.stats().zeroCopyBytes, wireBytes);
     EXPECT_EQ(zc->stats().zeroCopyBytes, wireBytes);
+    EXPECT_EQ(fed.chunkCount(), zc->chunkCount());
     EXPECT_EQ(fed.stats().objectsReceived, zc->stats().objectsReceived);
     EXPECT_EQ(fed.stats().bytesReceived, zc->stats().bytesReceived);
     EXPECT_TRUE(graphsEqual(nodeB_.heap(), fed.roots().at(0),

@@ -14,6 +14,7 @@
 
 #include <thread>
 
+#include "obs/metrics.hh"
 #include "skyway/streams.hh"
 #include "testclasses.hh"
 
@@ -216,13 +217,15 @@ TEST_F(SkywayTest, CrossChunkReferencesAbsolutize)
 {
     LocalRoots roots(nodeA_.heap());
     Address head = makeList(nodeA_, roots, 5000);
-    // Tiny receiver chunks: thousands of records spread over many
-    // chunks, with every next-pointer crossing chunk boundaries.
+    // Tiny receiver chunks and chunk-sized segments: thousands of
+    // records spread over many chunks, with every next-pointer
+    // crossing chunk boundaries.
     nodeA_.skyway().shuffleStart();
     SkywayObjectInputStream in(nodeB_.skyway(), 1 << 10);
     SkywayObjectOutputStream out(
         nodeA_.skyway(),
-        [&in](const std::uint8_t *d, std::size_t n) { in.feed(d, n); });
+        [&in](const std::uint8_t *d, std::size_t n) { in.feed(d, n); },
+        1 << 10);
     out.writeObject(roots.get(0) /* head rooted first */);
     out.writeObject(head);
     out.flush();
@@ -371,6 +374,41 @@ TEST_F(SkywayTest, FileStreamsRoundTrip)
     keep_.push_back(in.releaseBuffer());
 }
 
+TEST_F(SkywayTest, FileStreamFramesLandZeroCopy)
+{
+    // One [u32 length][segment] frame per flush; the reader commits
+    // each frame in place, so every segment byte is zero-copy (a
+    // raw-format invariant: pin compaction off).
+    nodeA_.skyway().setWireCompactMode(WireCompactMode::Off);
+    LocalRoots roots(nodeA_.heap());
+    Address head = makeList(nodeA_, roots, 300);
+    nodeA_.skyway().shuffleStart();
+    SkywayFileOutputStream out(nodeA_.skyway(), nodeB_.disk(),
+                               "shuffle_1.bin", 1 << 10);
+    out.writeObject(head);
+    out.flush();
+
+    const auto &file = nodeB_.disk().file("shuffle_1.bin");
+    ByteSource src(file);
+    std::size_t frames = 0;
+    while (!src.atEnd()) {
+        std::uint32_t len = src.readU32();
+        ASSERT_LE(len, src.remaining());
+        src.view(len);
+        ++frames;
+    }
+    ASSERT_GT(frames, 1u);
+
+    SkywayFileInputStream in(nodeB_.skyway(), nodeB_.disk(),
+                             "shuffle_1.bin");
+    EXPECT_EQ(in.buffer().stats().zeroCopyBytes,
+              file.size() - 4 * frames);
+    ASSERT_TRUE(in.hasNext());
+    Address q = in.readObject();
+    EXPECT_TRUE(graphsEqual(nodeA_.heap(), head, nodeB_.heap(), q));
+    keep_.push_back(in.releaseBuffer());
+}
+
 TEST_F(SkywayTest, SocketStreamsRoundTrip)
 {
     LocalRoots roots(nodeA_.heap());
@@ -504,6 +542,39 @@ TEST_F(SkywayTest, SerializerAdapterRoundTrip)
                             nodeB_.heap(), q2));
     EXPECT_EQ(q3, nullAddr);
     EXPECT_TRUE(src.atEnd());
+}
+
+TEST_F(SkywayTest, SerializerIngestIsZeroCopy)
+{
+    // Every frame the serializer ingests lands through reserve/commit:
+    // the zero-copy bytes the receiver publishes are exactly the sum
+    // of the frame lengths (raw format: pin compaction off).
+    nodeA_.skyway().setWireCompactMode(WireCompactMode::Off);
+    SkywaySerializer ser(nodeA_.skyway(), 1 << 10);
+    SkywaySerializer des(nodeB_.skyway());
+    LocalRoots roots(nodeA_.heap());
+    Address head = makeList(nodeA_, roots, 300);
+    VectorSink sink;
+    ser.writeObject(head, sink);
+    ser.endStream(sink);
+
+    ByteSource frames(sink.bytes());
+    std::uint64_t frameBytes = 0;
+    std::size_t frameCount = 0;
+    while (std::uint32_t len = frames.readU32()) {
+        frames.view(len);
+        frameBytes += len;
+        ++frameCount;
+    }
+    ASSERT_GT(frameCount, 1u);
+
+    obs::Counter &zeroCopy = obs::MetricsRegistry::global().counter(
+        "skyway.receiver.zero_copy_bytes");
+    std::uint64_t before = zeroCopy.value();
+    ByteSource src(sink.bytes());
+    Address q = des.readObject(src);
+    EXPECT_EQ(zeroCopy.value() - before, frameBytes);
+    EXPECT_TRUE(graphsEqual(nodeA_.heap(), head, nodeB_.heap(), q));
 }
 
 TEST_F(SkywayTest, AdapterByteCompositionAddsUp)

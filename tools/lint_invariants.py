@@ -23,8 +23,8 @@ every src/ translation unit, tracks lock-guard scopes by brace depth,
 and flags round-trip calls made while any scope is open.
 
 Rule 3 — **no blocking call in the compact-segment expand path**.
-``InputBuffer::expandSegment`` runs inside ``commitReserved``/``feed``,
-which the TCP event loop drives directly when it recv()s a shuffle
+``InputBuffer::expandSegment`` runs inside ``commitChunk`` (which
+``feed`` also goes through), which the TCP event loop drives directly when it recv()s a shuffle
 payload into chunk storage: a blocking primitive (or network round
 trip) reached from the expander wedges the loop exactly like rule 1's
 bug. The rule merges the function tables of the expand-path

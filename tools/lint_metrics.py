@@ -2,7 +2,9 @@
 """Metric- and span-name lint: keep src/ and docs/OBSERVABILITY.md in sync.
 
 Extracts every metric registration literal in src/ --
-``counter("...")``, ``gauge("...")``, ``histogram("...")`` -- and every
+``counter("...")``, ``gauge("...")``, ``histogram("...")``, and the
+``STAT(member, "...")`` entries of the stats-struct X-macro lists
+(skyway/sender.hh, skyway/inputbuffer.hh) -- and every
 backticked dotted metric name in the "Metric namespace" section of
 docs/OBSERVABILITY.md, then fails if either set has an entry the other
 lacks. Span names get the same two-way check: every
@@ -15,7 +17,9 @@ import pathlib
 import re
 import sys
 
-REG_RE = re.compile(r'\b(?:counter|gauge|histogram)\(\s*"([a-z0-9_.]+)"')
+REG_RE = re.compile(
+    r'\b(?:(?:counter|gauge|histogram)\(|STAT\(\s*\w+\s*,)\s*"([a-z0-9_.]+)"'
+)
 DOC_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)`")
 SPAN_RE = re.compile(r'\bSKYWAY_SPAN\(\s*"([A-Za-z0-9_.]+)"')
 DOC_SPAN_RE = re.compile(r"`([a-z][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)+)`")

@@ -173,11 +173,10 @@ main(int argc, char **argv)
             }
             // Cross-serializer result check.
             auto &cell = grid[{spec.name, app}];
-            panicIf(cell["java"].checksum != cell["kryo"].checksum ||
-                        cell["java"].checksum !=
-                            cell["skyway"].checksum,
-                    spec.name + "-" + app +
-                        ": serializers disagree on the result");
+            if (cell["java"].checksum != cell["kryo"].checksum ||
+                cell["java"].checksum != cell["skyway"].checksum)
+                panic(spec.name + "-" + app +
+                      ": serializers disagree on the result");
         }
     }
 

@@ -72,8 +72,8 @@ main(int argc, char **argv)
                                  p.builtin.average);
         bench::printBreakdownRow(std::string("Q") + q + "/skyway",
                                  p.skyway.average);
-        panicIf(p.builtin.checksum != p.skyway.checksum,
-                std::string("Q") + q + ": engines disagree");
+        if (p.builtin.checksum != p.skyway.checksum)
+            panic(std::string("Q") + q + ": engines disagree");
         results.emplace_back(q, p);
     }
 

@@ -86,7 +86,8 @@ class SimDisk
     file(const std::string &name) const
     {
         auto it = files_.find(name);
-        panicIf(it == files_.end(), "SimDisk: no such file " + name);
+        if (it == files_.end())
+            panic("SimDisk: no such file " + name);
         return it->second;
     }
 

@@ -53,12 +53,13 @@ FlinkCluster::resetBreakdowns()
 {
     for (auto &b : breakdowns_)
         b = PhaseBreakdown{};
+    fieldCounts_ = FlinkFieldCounts{};
 }
 
 FlinkRowSerializer::FlinkRowSerializer(
     KlassTable &klasses, const std::string &row_class,
-    const std::vector<std::string> &needed)
-    : klass_(klasses.load(row_class))
+    const std::vector<std::string> &needed, FlinkFieldCounts *counts)
+    : klass_(klasses.load(row_class)), counts_(counts)
 {
     const auto &fields = klass_->fields();
     neededMask_.assign(fields.size(), needed.empty());
@@ -70,8 +71,9 @@ FlinkRowSerializer::FlinkRowSerializer(
                 found = true;
             }
         }
-        panicIf(!found, "FlinkRowSerializer: no field " + name +
-                            " in " + row_class);
+        if (!found)
+            panic("FlinkRowSerializer: no field " + name + " in " +
+                  row_class);
     }
     for (std::size_t i = 0; i < fields.size(); ++i) {
         if (neededMask_[i]) {
@@ -131,6 +133,8 @@ FlinkRowSerializer::write(Jvm &jvm, Address row, ByteSink &out) const
     }
     out.writeU32(static_cast<std::uint32_t>(tmp_.bytes().size()));
     out.write(tmp_.bytes().data(), tmp_.bytes().size());
+    if (counts_)
+        counts_->written += klass_->fields().size();
 }
 
 Address
@@ -153,9 +157,11 @@ FlinkRowSerializer::read(Jvm &jvm, ByteSource &in) const
     std::uint32_t frame = in.readU32(); // record length (no spanning)
     std::size_t body_start = in.position();
     const auto &fields = klass_->fields();
+    std::uint64_t decoded = 0;
     for (std::size_t i = 0; i <= lastNeeded_; ++i) {
         const FieldDesc &f = fields[i];
         bool need = neededMask_[i];
+        decoded += need;
         switch (f.type) {
           case FieldType::Boolean:
           case FieldType::Byte: {
@@ -208,6 +214,8 @@ FlinkRowSerializer::read(Jvm &jvm, ByteSource &in) const
     // Fields past the last needed one are never parsed: jump to the
     // record end through the length frame.
     in.view(frame - (in.position() - body_start));
+    if (counts_)
+        counts_->decoded += decoded;
     return row();
 }
 
@@ -226,7 +234,8 @@ FlinkShuffle::FlinkShuffle(FlinkCluster &cluster, std::string name,
             std::make_unique<LocalRoots>(cluster.worker(w).heap()));
         buckets_[w].resize(n);
         rowSer_.push_back(std::make_unique<FlinkRowSerializer>(
-            cluster.worker(w).klasses(), rowClass_, needed));
+            cluster.worker(w).klasses(), rowClass_, needed,
+            &cluster.fieldCounts()));
         if (cluster.mode() == FlinkSerMode::Skyway) {
             cluster.skywaySerializer(w).startPhase();
             cluster.skywaySerializer(w).releaseReceived();

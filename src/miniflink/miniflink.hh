@@ -51,6 +51,17 @@ namespace flinkmsg
 constexpr int shuffle = 211;
 } // namespace flinkmsg
 
+/**
+ * Row fields the built-in serializers wrote, and the fields their lazy
+ * readers decoded into rows. A skipped field is never decoded, so
+ * decoded < written is the structural form of lazy deserialization.
+ */
+struct FlinkFieldCounts
+{
+    std::uint64_t written = 0;
+    std::uint64_t decoded = 0;
+};
+
 class FlinkCluster
 {
   public:
@@ -72,6 +83,10 @@ class FlinkCluster
     PhaseBreakdown totalBreakdown() const;
     void resetBreakdowns();
 
+    /** Built-in row-serializer field counts, summed over workers since
+     *  the last resetBreakdowns(); Skyway mode counts nothing. */
+    FlinkFieldCounts &fieldCounts() { return fieldCounts_; }
+
     void
     chargeCompute(int w, std::uint64_t ns)
     {
@@ -91,6 +106,7 @@ class FlinkCluster
     std::vector<std::unique_ptr<Jvm>> nodes_;
     std::vector<std::unique_ptr<SkywaySerializer>> skywaySer_;
     std::vector<PhaseBreakdown> breakdowns_;
+    FlinkFieldCounts fieldCounts_;
 };
 
 /**
@@ -107,10 +123,13 @@ class FlinkRowSerializer
      * @param row_class the channel's row class
      * @param needed   names of fields the downstream transformation
      *                 reads; empty means "all fields"
+     * @param counts   where to count written and decoded fields, or
+     *                 null
      */
     FlinkRowSerializer(KlassTable &klasses,
                        const std::string &row_class,
-                       const std::vector<std::string> &needed);
+                       const std::vector<std::string> &needed,
+                       FlinkFieldCounts *counts = nullptr);
 
     void write(Jvm &jvm, Address row, ByteSink &out) const;
     Address read(Jvm &jvm, ByteSource &in) const;
@@ -128,6 +147,7 @@ class FlinkRowSerializer
     /** Index of the last needed field: the lazy reader stops parsing
      *  there and jumps to the record end via the length frame. */
     std::size_t lastNeeded_ = 0;
+    FlinkFieldCounts *counts_;
 };
 
 /**

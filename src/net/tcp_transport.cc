@@ -611,9 +611,9 @@ TcpTransport::pairFdOrClaim(NodeId node, NodeId dst)
     int fd = connectTo(dst, shake, sizeof(shake));
     {
         MutexLock lock(poolMutex_);
-        panicIf(n.pairFd.count(dst) != 0,
-                "TcpTransport: duplicate pair connection toward "
-                "node " + std::to_string(dst));
+        if (n.pairFd.count(dst) != 0)
+            panic("TcpTransport: duplicate pair connection toward "
+                  "node " + std::to_string(dst));
         n.pairFd.emplace(dst, fd);
     }
     epollAdd(node, packToken(FdKind::Pair, dst, fd), fd);
@@ -1073,9 +1073,9 @@ TcpTransport::acceptPending(NodeId node)
         if (h.channel == frame::channelData) {
             {
                 MutexLock lock(poolMutex_);
-                panicIf(n.pairFd.count(h.src) != 0,
-                        "TcpTransport: duplicate pair connection "
-                        "from node " + std::to_string(h.src));
+                if (n.pairFd.count(h.src) != 0)
+                    panic("TcpTransport: duplicate pair connection "
+                          "from node " + std::to_string(h.src));
                 n.pairFd.emplace(h.src, fd);
                 PairEntry &e = pool_[pairKey(node, h.src)];
                 if (!e.claimed) {

@@ -97,9 +97,9 @@ MetricsRegistry::counter(std::string_view name)
     if (it == entries_.end())
         it = entries_.emplace(std::string(name), Entry{}).first;
     Entry &e = it->second;
-    panicIf(e.gauge != nullptr || e.histogram != nullptr,
-            "MetricsRegistry: " + it->first +
-                " already registered with another kind");
+    if (e.gauge != nullptr || e.histogram != nullptr)
+        panic("MetricsRegistry: " + it->first +
+              " already registered with another kind");
     if (!e.counter)
         e.counter = std::make_unique<Counter>();
     return *e.counter;
@@ -113,9 +113,9 @@ MetricsRegistry::gauge(std::string_view name)
     if (it == entries_.end())
         it = entries_.emplace(std::string(name), Entry{}).first;
     Entry &e = it->second;
-    panicIf(e.counter != nullptr || e.histogram != nullptr,
-            "MetricsRegistry: " + it->first +
-                " already registered with another kind");
+    if (e.counter != nullptr || e.histogram != nullptr)
+        panic("MetricsRegistry: " + it->first +
+              " already registered with another kind");
     if (!e.gauge)
         e.gauge = std::make_unique<Gauge>();
     return *e.gauge;
@@ -130,9 +130,9 @@ MetricsRegistry::histogram(std::string_view name,
     if (it == entries_.end())
         it = entries_.emplace(std::string(name), Entry{}).first;
     Entry &e = it->second;
-    panicIf(e.counter != nullptr || e.gauge != nullptr,
-            "MetricsRegistry: " + it->first +
-                " already registered with another kind");
+    if (e.counter != nullptr || e.gauge != nullptr)
+        panic("MetricsRegistry: " + it->first +
+              " already registered with another kind");
     if (!e.histogram)
         e.histogram = std::make_unique<Histogram>(bounds);
     return *e.histogram;

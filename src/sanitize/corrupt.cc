@@ -41,8 +41,8 @@ template <typename T>
 const T &
 pick(const std::vector<T> &v, Rng &rng, const char *what)
 {
-    panicIf(v.empty(), std::string("injectCorruption: stream has no ") +
-                           what);
+    if (v.empty())
+        panic(std::string("injectCorruption: stream has no ") + what);
     return v[rng.nextBounded(v.size())];
 }
 
@@ -109,8 +109,8 @@ indexStream(TypeResolver &resolver, const WireCheckConfig &cfg,
     if (!stream.empty())
         v.feed(stream.data(), stream.size());
     v.finish();
-    panicIf(!v.ok(), "indexStream: stream is not clean: " +
-                         v.firstFault());
+    if (!v.ok())
+        panic("indexStream: stream is not clean: " + v.firstFault());
     return v.index();
 }
 

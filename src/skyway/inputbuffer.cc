@@ -49,8 +49,8 @@ InputBuffer::klassForTid(std::int32_t tid)
     if (idx < tidCache_.size() && tidCache_[idx])
         return tidCache_[idx];
     Klass *k = ctx_.resolver().klassForId(tid);
-    panicIf(!k, "InputBuffer: unresolvable type id " +
-                    std::to_string(tid));
+    if (!k)
+        panic("InputBuffer: unresolvable type id " + std::to_string(tid));
     if (idx >= tidCache_.size())
         tidCache_.resize(idx + 1, nullptr);
     tidCache_[idx] = k;
@@ -125,9 +125,9 @@ InputBuffer::commitChunk(std::size_t len)
         // stream offset. The validator must also read the bytes
         // before marker words are overwritten with fillers below.
         validator_->feed(reserved_, len);
-        panicIf(!validator_->ok(),
-                "SkywaySan: receiver wire validation failed: " +
-                    validator_->firstFault());
+        if (!validator_->ok())
+            panic("SkywaySan: receiver wire validation failed: " +
+                  validator_->firstFault());
     }
 
     if (len >= wordSize && wire::isCompactSegment(reserved_, len)) {
@@ -153,12 +153,9 @@ InputBuffer::commitChunk(std::size_t len)
         std::uint8_t *rec = reserved_ + off;
         Address pa = reinterpret_cast<Address>(rec);
         // Every read below is bounds-checked first: a truncated or
-        // forged segment must not read past the reservation. (The
-        // per-record checks use `if (...) panic(...)`: panicIf's
-        // std::string parameter would build the message per record.)
+        // forged segment must not read past the reservation.
         std::size_t avail = len - off;
-        if (avail < wordSize)
-            panic("InputBuffer: truncated record");
+        panicIf(avail < wordSize, "InputBuffer: truncated record");
         // Marker words delimit top-level objects; they occupy no
         // logical address space. With the segment already sitting in
         // chunk storage they are consumed and overwritten in place
@@ -174,8 +171,8 @@ InputBuffer::commitChunk(std::size_t len)
                 heap_.writeFillerAny(pa, wordSize);
                 off += wordSize;
             } else if (first == marker::backRef) {
-                if (avail < 2 * wordSize)
-                    panic("InputBuffer: truncated marker");
+                panicIf(avail < 2 * wordSize,
+                        "InputBuffer: truncated marker");
                 Word slot;
                 std::memcpy(&slot, rec + wordSize, wordSize);
                 pendingRoots_.push_back(RootSpec{true, slot});
@@ -187,16 +184,16 @@ InputBuffer::commitChunk(std::size_t len)
             continue;
         }
 
-        if (avail < fmt_.headerBytes())
-            panic("InputBuffer: truncated record");
+        panicIf(avail < fmt_.headerBytes(),
+                "InputBuffer: truncated record");
         Word tid_word;
         std::memcpy(&tid_word, rec + offsetKlass, wordSize);
         Klass *k = klassForTid(static_cast<std::int32_t>(tid_word));
-        if (k->isArray() && avail < fmt_.arrayHeaderBytes())
-            panic("InputBuffer: truncated record");
+        panicIf(k->isArray() && avail < fmt_.arrayHeaderBytes(),
+                "InputBuffer: truncated record");
         std::size_t size = recordSize(rec, k);
-        if (size > avail)
-            panic("InputBuffer: record spans a streamed segment");
+        panicIf(size > avail,
+                "InputBuffer: record spans a streamed segment");
 
         // Extend the open logical run, or start a new one after a
         // marker or a chunk boundary broke contiguity.
@@ -338,9 +335,9 @@ InputBuffer::finalize()
         // Reject a corrupt stream *before* absolutization writes
         // anything into the heap.
         validator_->finish();
-        panicIf(!validator_->ok(),
-                "SkywaySan: receiver wire validation failed: " +
-                    validator_->firstFault());
+        if (!validator_->ok())
+            panic("SkywaySan: receiver wire validation failed: " +
+                  validator_->firstFault());
     }
     for (Chunk &c : chunks_)
         absolutizeChunk(c);
@@ -386,9 +383,9 @@ InputBuffer::auditRebuilt() const
             }
             starts.insert(a);
             std::size_t size = heap_.objectSize(a);
-            panicIf(size == 0 || a + size > end,
-                    "SkywaySan: rebuilt object at " +
-                        std::to_string(a) + " overruns its chunk");
+            if (size == 0 || a + size > end)
+                panic("SkywaySan: rebuilt object at " +
+                      std::to_string(a) + " overruns its chunk");
             a += size;
         }
     }
@@ -401,21 +398,21 @@ InputBuffer::auditRebuilt() const
                 continue;
             }
             Word m = heap_.markOf(a);
-            panicIf((m & ~(mark::hashMask | mark::hashComputedBit)) != 0,
-                    "SkywaySan: rebuilt " + heap_.klassOf(a)->name() +
-                        " carries non-transfer mark bits");
+            if ((m & ~(mark::hashMask | mark::hashComputedBit)) != 0)
+                panic("SkywaySan: rebuilt " + heap_.klassOf(a)->name() +
+                      " carries non-transfer mark bits");
             forEachRefSlot(heap_, a, [&](std::size_t off) {
                 Address t = heap_.loadRef(a, off);
                 // A reference either stays inside this buffer's
                 // rebuilt closure or was installed by a registered
                 // field update, which may point anywhere in the local
                 // heap.
-                panicIf(t != nullAddr && !starts.count(t) &&
-                            !heap_.contains(t),
-                        "SkywaySan: rebuilt " +
-                            heap_.klassOf(a)->name() +
-                            " references outside the input buffer "
-                            "and the heap");
+                if (t != nullAddr && !starts.count(t) &&
+                    !heap_.contains(t))
+                    panic("SkywaySan: rebuilt " +
+                          heap_.klassOf(a)->name() +
+                          " references outside the input buffer "
+                          "and the heap");
             });
             a += heap_.objectSize(a);
         }

@@ -230,11 +230,21 @@ SkywaySender::publishMetrics()
 void
 SkywaySender::drain()
 {
-    while (!gray_.empty()) {
-        GrayItem item = gray_.front();
-        gray_.pop_front();
+    while (grayHead_ < gray_.size()) {
+        GrayItem item = gray_[grayHead_++];
         writeRecord(item.obj, item.addr);
+        // Drop the consumed prefix once it outweighs the live queue:
+        // capacity tracks the BFS frontier, and the move is amortized
+        // O(1) per item.
+        if (grayHead_ >= 64 && 2 * grayHead_ >= gray_.size()) {
+            gray_.erase(gray_.begin(),
+                        gray_.begin() +
+                            static_cast<std::ptrdiff_t>(grayHead_));
+            grayHead_ = 0;
+        }
     }
+    gray_.clear();
+    grayHead_ = 0;
 }
 
 void

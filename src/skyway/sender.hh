@@ -19,8 +19,8 @@
 #define SKYWAY_SKYWAY_SENDER_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "skyway/baddr.hh"
 #include "skyway/context.hh"
@@ -145,7 +145,11 @@ class SkywaySender
     std::ptrdiff_t headerDelta_;
     std::uint8_t sid_ = 0;
 
-    std::deque<GrayItem> gray_;
+    /** BFS queue: gray_[grayHead_..] are copied-to-be objects. A
+     *  vector rather than a deque, whose node churn would allocate
+     *  once per few dozen records in steady state. */
+    std::vector<GrayItem> gray_;
+    std::size_t grayHead_ = 0;
     /** Stream-local table for objects claimed by other streams. */
     std::unordered_map<Address, std::uint64_t> fallback_;
 

@@ -421,8 +421,8 @@ CompactEncoder::klassFor(std::int32_t tid)
     if (it != klassMemo_.end())
         return it->second;
     Klass *k = ctx_.resolver().klassForId(tid);
-    panicIf(!k, "CompactEncoder: unresolvable type id " +
-                    std::to_string(tid));
+    if (!k)
+        panic("CompactEncoder: unresolvable type id " + std::to_string(tid));
     klassMemo_[tid] = k;
     return k;
 }

@@ -23,7 +23,7 @@ void logMessage(const char *severity, const std::string &msg);
  * conditions that indicate a bug in the runtime itself, never for bad
  * input.
  */
-[[noreturn]] void panic(const std::string &msg);
+[[noreturn, gnu::cold]] void panic(const std::string &msg);
 
 /**
  * Exit with an error: the run cannot continue because of a condition that
@@ -38,14 +38,22 @@ void warn(const std::string &msg);
 void inform(const std::string &msg);
 
 /**
- * Assert an internal invariant; panics with @p msg when @p cond is false.
- * Unlike assert(3) this is active in all build types — the runtime
- * manipulates raw heap memory and silent corruption is worse than a halt.
+ * Assert an internal invariant: panics with @p msg when @p cond is
+ * true. Unlike assert(3) this is active in all build types — the
+ * runtime manipulates raw heap memory and silent corruption is worse
+ * than a halt.
+ *
+ * The message is a literal, so a passing check costs one predicted
+ * branch and builds nothing. When the message needs runtime context,
+ * write `if (cond) panic("..." + ctx);` instead: the string is then
+ * built only on the failure path. There is deliberately no std::string
+ * overload, so the compiler rejects a call that would build its
+ * message before the check.
  */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, const char *msg)
 {
-    if (cond)
+    if (cond) [[unlikely]]
         panic(msg);
 }
 

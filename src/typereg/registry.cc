@@ -47,8 +47,8 @@ std::string
 TypeRegistryDriver::nameForId(std::int32_t id)
 {
     MutexLock lock(mutex_);
-    panicIf(id < 0 || static_cast<std::size_t>(id) >= names_.size(),
-            "TypeRegistryDriver: unknown type id " + std::to_string(id));
+    if (id < 0 || static_cast<std::size_t>(id) >= names_.size())
+        panic("TypeRegistryDriver: unknown type id " + std::to_string(id));
     return names_[id];
 }
 
@@ -226,8 +226,9 @@ TypeRegistryWorker::nameForId(std::int32_t id)
                      sink.takeBytes(), lookupOptions());
     ByteSource src(reply);
     std::string name = src.readString();
-    panicIf(name.empty(), "TypeRegistryWorker: unknown type id " +
-                              std::to_string(id));
+    if (name.empty())
+        panic("TypeRegistryWorker: unknown type id " +
+              std::to_string(id));
     insertView(name, id);
     return name;
 }

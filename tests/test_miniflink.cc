@@ -169,6 +169,22 @@ TEST(FlinkLaziness, DeserBelowSerOnWideRows)
         << "lazy deserialization must undercut serialization";
 }
 
+TEST(FlinkLaziness, DecodesFewerFieldsThanWritten)
+{
+    // The structural side of DeserBelowSerOnWideRows: QC's consumers
+    // need a few fields of wide rows, so the lazy reader decodes fewer
+    // fields than the writer wrote.
+    ClassCatalog cat = flinkCatalog();
+    FlinkConfig cfg;
+    cfg.numWorkers = 3;
+    FlinkCluster cluster(cat, FlinkSerMode::Builtin, cfg);
+    runQueryC(cluster, smallDb());
+    const FlinkFieldCounts &fc = cluster.fieldCounts();
+    EXPECT_GT(fc.decoded, 0u);
+    EXPECT_LT(fc.decoded, fc.written)
+        << "the lazy reader must skip unneeded fields";
+}
+
 TEST(FlinkChecksums, MatchReferenceForQueryD)
 {
     // Independent reference for QD: late orders per quarter.

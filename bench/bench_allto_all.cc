@@ -12,12 +12,13 @@
  *  - zero-copy receive: every payload byte lands via recv() into
  *    ReserveFn-posted storage, so `net.recv_into_bytes` equals the
  *    total payload byte count exactly (no staging copies under
- *    round-robin draining; a SKYWAY_NET_CREDIT_BYTES override small
- *    enough to trigger the stall rescue relaxes this to an upper
- *    bound);
+ *    round-robin draining, whatever SKYWAY_NET_CREDIT_BYTES says —
+ *    credit grants never queue behind a parked frame);
  *  - transport-invariant accounting: per-node bytesSent /
  *    messagesSent / wireNs match the model-transport run byte for
- *    byte (ClusterNetwork charges before delegating).
+ *    byte (ClusterNetwork charges before delegating), and the tcp
+ *    run writes exactly one frame per fabric message (credit grants
+ *    are in-process, never frames).
  *
  * Knobs: `--nodes=64,128` (comma list; each count ≥ 2) picks the
  * sweep, `--scale=X` scales the frames-per-pair count. 256 nodes
@@ -26,8 +27,9 @@
  *
  * JSON rows (schema v1) carry the deterministic counters
  * fabric_bytes / fabric_msgs / recv_into_bytes / pooled_connections —
- * the perf-diff allowlist for this bench — alongside observational
- * credit_stall_ms / epoll_wakeups / frames_sent.
+ * the perf-diff allowlist for this bench — alongside frames_sent
+ * (asserted equal to fabric_msgs, not diffed) and the observational
+ * credit_stall_ms / epoll_wakeups.
  */
 
 #include <sys/resource.h>
@@ -282,19 +284,11 @@ main(int argc, char **argv)
                   std::to_string(n) + ", saw " +
                   std::to_string(tcp.pooled));
 
-        // With the default credit window every stream's frames fit in
-        // flight and all payload bytes must land zero-copy. A small
-        // SKYWAY_NET_CREDIT_BYTES override makes the event loops'
-        // stall rescue stage some frames (a legitimate copy, see
-        // docs/TRANSPORT.md §5), so only the upper bound holds there.
+        // Every payload byte lands zero-copy, whatever the credit
+        // window (docs/TRANSPORT.md §4-5).
         std::uint64_t payloadBytes = std::uint64_t(n) * (n - 1) *
                                      frames * frameBytes;
-        bool windowShrunk = false;
-        if (const char *env = std::getenv("SKYWAY_NET_CREDIT_BYTES"))
-            windowShrunk = std::strtoull(env, nullptr, 10) <
-                           std::uint64_t(frames) * frameBytes;
-        if (tcp.recvInto > payloadBytes ||
-            (!windowShrunk && tcp.recvInto != payloadBytes))
+        if (tcp.recvInto != payloadBytes)
             fatal("bench_allto_all: zero-copy leak at N=" +
                   std::to_string(n) + ": recv_into_bytes " +
                   std::to_string(tcp.recvInto) + " != payload bytes " +
@@ -309,11 +303,17 @@ main(int argc, char **argv)
                   std::to_string(tcp.totalBytes()) + " B / " +
                   std::to_string(tcp.totalMsgs()) + " msgs");
 
+        // One wire frame per fabric message (payloads and end-of-
+        // stream markers); a surplus would be protocol chatter.
+        if (tcp.framesSent != tcp.totalMsgs())
+            fatal("bench_allto_all: frames_sent " +
+                  std::to_string(tcp.framesSent) + " != fabric_msgs " +
+                  std::to_string(tcp.totalMsgs()) + " at N=" +
+                  std::to_string(n));
+
         std::printf("%6s N=%-4d parity ok, %llu conns = N(N-1)/2, "
-                    "zero-copy %s\n", "", n,
-                    static_cast<unsigned long long>(tcp.pooled),
-                    windowShrunk ? "bounded (shrunk window)"
-                                 : "exact");
+                    "zero-copy exact\n", "", n,
+                    static_cast<unsigned long long>(tcp.pooled));
     }
 
     std::printf("\n(one pooled connection per node pair: the 128-node "

@@ -22,11 +22,9 @@
  *                kind 4 = stream data: origin is the writer (the
  *                stream's sender), arg is the payload length, and
  *                `arg` payload bytes follow (arg == 0 is the
- *                end-of-stream marker, no payload).
- *                kind 5 = credit grant: origin is the writer (the
- *                stream's *receiver*, granting), arg is the number of
- *                payload bytes returned to the stream's send window,
- *                no payload. See docs/TRANSPORT.md §4.
+ *                end-of-stream marker, no payload). It is the only
+ *                mux kind: credit grants never cross the wire
+ *                (docs/TRANSPORT.md §4).
  * Control frame: u8 kind (2 = request, 3 = reply) | i32 src
  *                | i32 tag | u32 reqId | u32 len | payload.
  *                reqId lets a requester that timed out and resent
@@ -53,7 +51,6 @@ constexpr std::uint8_t channelControl = 1;
 constexpr std::uint8_t kindRequest = 2;
 constexpr std::uint8_t kindReply = 3;
 constexpr std::uint8_t kindStream = 4;
-constexpr std::uint8_t kindCredit = 5;
 
 constexpr std::size_t handshakeBytes = 4 + 1 + 4 + 4;
 constexpr std::size_t muxHeaderBytes = 1 + 4 + 4 + 4;
@@ -114,10 +111,9 @@ decodeHandshake(const std::uint8_t (&buf)[handshakeBytes], Handshake &h)
 }
 
 /**
- * One multiplexed frame header on a pair connection. For kindStream,
- * @p origin is the stream's sender and @p arg the payload length
- * (0 = end of stream). For kindCredit, @p origin is the granting
- * receiver and @p arg the bytes returned to the stream's window.
+ * One multiplexed frame header on a pair connection: @p kind is
+ * kindStream, @p origin the stream's sender and @p arg the payload
+ * length (0 = end of stream).
  */
 struct MuxHeader
 {

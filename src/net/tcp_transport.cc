@@ -60,13 +60,6 @@ struct TcpMetrics
 /** How long the event loop sleeps in epoll_wait when idle. */
 constexpr int loopWaitMs = 50;
 
-/** How long a stream may sit credit-stalled before the loop assumes
- *  its grant is trapped behind a parked inbound frame and stages that
- *  connection (2x the epoll timeout, so the check always fires while
- *  a genuine just-slow receiver rarely trips it). */
-constexpr std::uint64_t stallRescueNs =
-    2ull * loopWaitMs * 1'000'000ull;
-
 /** Transient-connect retry budget (listen backlog overflow). */
 constexpr int connectAttempts = 100;
 
@@ -168,13 +161,6 @@ applyEnv(TransportOptions opts)
                 "SKYWAY_NET_CREDIT_BYTES must be a positive integer");
         opts.creditWindowBytes = static_cast<std::size_t>(v);
     }
-    if (const char *e = std::getenv("SKYWAY_NET_QUEUE_LIMIT")) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(e, &end, 10);
-        panicIf(end == e,
-                "SKYWAY_NET_QUEUE_LIMIT must be an integer (0 = off)");
-        opts.maxQueuedBytesPerStream = static_cast<std::size_t>(v);
-    }
     return opts;
 }
 
@@ -248,22 +234,6 @@ TcpTransport::TcpTransport(int node_count, WireCounters &wire,
 TcpTransport::~TcpTransport()
 {
     running_.store(false, std::memory_order_relaxed);
-    for (int i = 0; i < nodeCount_; ++i) {
-        {
-            // Release bounded-queue senders stuck in send().
-            MutexLock lock(nodes_[i]->sendMutex);
-        }
-        nodes_[i]->sendCv.notify_all();
-    }
-    // A released sender still reads running_, and one that raced past
-    // the wait still touches its stream queue and the wake pipe on
-    // the way out — wait for every in-flight send() to leave before
-    // any fd is closed or Node state freed.
-    {
-        MutexLock lock(sendersMutex_);
-        while (inFlightSenders_ != 0)
-            sendersCv_.wait(lock);
-    }
     for (int i = 0; i < nodeCount_; ++i)
         wakeLoop(i);
     for (auto &n : nodes_) {
@@ -272,11 +242,11 @@ TcpTransport::~TcpTransport()
     }
 
     // Unwind the process-wide gauges this fabric contributed to, and
-    // close every fd. The loops are joined and the senders drained,
-    // but consumer threads may still be mid-poll (nothing stops a
-    // reader outliving the fabric), so the guarded state below is
-    // read under its owning locks like everywhere else — they are
-    // uncontended by now and leaf-ordered, so this costs nothing.
+    // close every fd. The loops are joined, but consumer threads may
+    // still be mid-poll (nothing stops a reader outliving the
+    // fabric), so the guarded state below is read under its owning
+    // locks like everywhere else — they are uncontended by now and
+    // leaf-ordered, so this costs nothing.
     // (The unlocked reads that used to sit here were the first bug
     // the SkywayGuard annotations flagged; see
     // docs/STATIC_ANALYSIS.md and GaugesUnwindOnDestruction.)
@@ -359,6 +329,13 @@ TcpTransport::writeTimed(int fd, const std::uint8_t *buf,
     std::uint64_t ns = sw.elapsedNs();
     wire_.realWireNs.fetch_add(ns, std::memory_order_relaxed);
     TcpMetrics::get().realWireNs.add(ns);
+}
+
+void
+TcpTransport::countFrame()
+{
+    wire_.framesSent.fetch_add(1, std::memory_order_relaxed);
+    TcpMetrics::get().framesSent.inc();
 }
 
 std::size_t
@@ -605,7 +582,7 @@ TcpTransport::pairFdOrClaim(NodeId node, NodeId dst)
     frame::encodeHandshake(shake, h);
     // Connect with poolMutex_ dropped: a backlog-overflow retry can
     // sleep ~200 ms, and holding the transport-wide lock across that
-    // would stall every node's grant delivery and accepts. The claim
+    // would stall every node's pair lookups and accepts. The claim
     // above keeps the pair exclusive meanwhile (connectTo panics
     // rather than failing, so there is no unclaim path).
     int fd = connectTo(dst, shake, sizeof(shake));
@@ -638,23 +615,6 @@ void
 TcpTransport::send(NodeId src, NodeId dst, int tag,
                    std::vector<std::uint8_t> payload)
 {
-    // Census in/out so the destructor cannot tear down fds or Node
-    // state under a sender it just released from the bounded wait.
-    {
-        MutexLock lock(sendersMutex_);
-        ++inFlightSenders_;
-    }
-    struct Census
-    {
-        TcpTransport &t;
-        ~Census()
-        {
-            MutexLock lock(t.sendersMutex_);
-            if (--t.inFlightSenders_ == 0)
-                t.sendersCv_.notify_all();
-        }
-    } census{*this};
-
     Node &n = *nodes_[src];
     if (src == dst) {
         // Self-delivery never touches a socket (loopback-to-self is
@@ -678,59 +638,44 @@ TcpTransport::send(NodeId src, NodeId dst, int tag,
             s.active = true;
             TcpMetrics::get().streamsActive.add(1);
         }
-        if (options_.maxQueuedBytesPerStream > 0 && !payload.empty()) {
-            // Opt-in bound on unsent bytes; requires a concurrent
-            // drainer (see TransportOptions::maxQueuedBytesPerStream).
-            // An explicit wait loop rather than the predicate
-            // overload: thread-safety analysis cannot see through a
-            // predicate lambda, and the loop is the same code.
-            while (running_.load(std::memory_order_relaxed) &&
-                   s.queuedBytes >= options_.maxQueuedBytesPerStream)
-                n.sendCv.wait(lock);
-            if (!running_.load(std::memory_order_relaxed)) {
-                // Shutdown released us: drop the frame and leave
-                // without touching the queue or the wake pipe.
-                return;
-            }
-        }
-        s.queuedBytes += payload.size();
         s.queue.push_back(std::move(payload));
     }
     wakeLoop(src);
 }
 
 void
-TcpTransport::queueGrant(NodeId node, NodeId src, int tag,
-                         std::uint32_t bytes)
+TcpTransport::grantCredit(NodeId node, NodeId src, int tag,
+                          std::uint32_t bytes)
 {
-    Node &n = *nodes_[node];
+    Node &sn = *nodes_[src];
     {
-        MutexLock lock(n.sendMutex);
-        n.grants.push_back(Grant{src, tag, bytes});
+        MutexLock lock(sn.sendMutex);
+        auto it = sn.streams.find(std::make_pair(node, tag));
+        if (it == sn.streams.end())
+            return; // a foreign peer's stream: no window to return to
+        TxStream &s = it->second;
+        s.credit += bytes;
+        if (!s.stalled || s.credit <= 0)
+            return;
+        s.stalled = false;
+        std::uint64_t ns = monoNs() - s.stallStartNs;
+        wire_.creditStallsNs.fetch_add(ns, std::memory_order_relaxed);
+        TcpMetrics::get().creditStallsNs.add(ns);
     }
-    wakeLoop(node);
+    wakeLoop(src);
 }
 
 void
-TcpTransport::stageParked(NodeId node, Node &n,
-                          const std::set<int> *onlyFds)
+TcpTransport::stageParked(NodeId node, Node &n)
 {
-    // Either a consumer is stuck on a tag none of the parked frames
-    // carry, or (onlyFds set) the loop's
-    // stall rescue needs the grants queued behind these frames; read
-    // the payloads off their connections (one staging copy —
+    // A consumer is stuck on a tag none of the parked frames carry:
+    // read the payloads off their connections (one staging copy —
     // intentionally NOT counted as net.recv_into_bytes) so whatever
     // is queued behind them keeps flowing. Credit is granted only
     // when a consumer takes a staged message: staged bytes still
     // occupy this node's memory, so total staging is bounded by the
     // senders' credit windows.
-    std::vector<Parked> keep;
-    bool stagedAny = false;
     for (Parked &p : n.parked) {
-        if (onlyFds && !onlyFds->count(p.fd)) {
-            keep.push_back(p);
-            continue;
-        }
         NetMessage m{p.src, node, p.tag, {}};
         if (p.len) {
             m.payload.resize(p.len);
@@ -739,44 +684,9 @@ TcpTransport::stageParked(NodeId node, Node &n,
         }
         epollAdd(node, packToken(FdKind::Pair, p.src, p.fd), p.fd);
         n.staged.push_back(std::move(m));
-        stagedAny = true;
     }
-    n.parked = std::move(keep);
-    if (stagedAny)
-        ++n.recvVersion;
-}
-
-void
-TcpTransport::rescueStalledStreams(NodeId node)
-{
-    Node &n = *nodes_[node];
-    std::vector<NodeId> starvedDsts;
-    std::uint64_t now = monoNs();
-    {
-        MutexLock lock(n.sendMutex);
-        for (auto &[key, s] : n.streams) {
-            if (!s.stalled || now - s.stallStartNs < stallRescueNs)
-                continue;
-            if (starvedDsts.empty() || starvedDsts.back() != key.first)
-                starvedDsts.push_back(key.first); // map: dsts adjacent
-        }
-    }
-    if (starvedDsts.empty())
-        return;
-    std::set<int> fds;
-    {
-        MutexLock lock(poolMutex_);
-        for (NodeId dst : starvedDsts) {
-            auto it = n.pairFd.find(dst);
-            if (it != n.pairFd.end())
-                fds.insert(it->second);
-        }
-    }
-    if (fds.empty())
-        return;
-    MutexLock lock(n.recvMutex);
-    if (!n.parked.empty())
-        stageParked(node, n, &fds);
+    n.parked.clear();
+    ++n.recvVersion;
 }
 
 bool
@@ -795,7 +705,7 @@ TcpTransport::poll(NodeId dst, NetMessage &out)
         n.staged.pop_front();
         ++n.recvVersion;
         if (!out.payload.empty())
-            queueGrant(dst, out.src, out.tag,
+            grantCredit(dst, out.src, out.tag,
                        static_cast<std::uint32_t>(out.payload.size()));
         return true;
     }
@@ -811,7 +721,7 @@ TcpTransport::poll(NodeId dst, NetMessage &out)
         }
         epollAdd(dst, packToken(FdKind::Pair, p.src, p.fd), p.fd);
         if (p.len)
-            queueGrant(dst, p.src, p.tag, p.len);
+            grantCredit(dst, p.src, p.tag, p.len);
         return true;
     }
     return false;
@@ -839,7 +749,7 @@ TcpTransport::pollTag(NodeId dst, int tag, NetMessage &out)
         ++n.recvVersion;
         n.lastMiss.erase(tag);
         if (!out.payload.empty())
-            queueGrant(dst, out.src, tag,
+            grantCredit(dst, out.src, tag,
                        static_cast<std::uint32_t>(out.payload.size()));
         return true;
     }
@@ -858,7 +768,7 @@ TcpTransport::pollTag(NodeId dst, int tag, NetMessage &out)
         }
         epollAdd(dst, packToken(FdKind::Pair, p.src, p.fd), p.fd);
         if (p.len)
-            queueGrant(dst, p.src, p.tag, p.len);
+            grantCredit(dst, p.src, p.tag, p.len);
         return true;
     }
     // Miss. A second miss with no intervening receive-side change
@@ -907,7 +817,7 @@ TcpTransport::pollTagInto(NodeId dst, int tag, const ReserveFn &reserve)
         std::uint8_t *to = reserve(msg.payload.size());
         panicIf(to == nullptr, "pollTagInto: reserve returned null");
         std::memcpy(to, msg.payload.data(), msg.payload.size());
-        queueGrant(dst, msg.src, tag,
+        grantCredit(dst, msg.src, tag,
                    static_cast<std::uint32_t>(msg.payload.size()));
         return static_cast<std::ptrdiff_t>(msg.payload.size());
     }
@@ -932,7 +842,7 @@ TcpTransport::pollTagInto(NodeId dst, int tag, const ReserveFn &reserve)
                                       std::memory_order_relaxed);
         TcpMetrics::get().recvIntoBytes.add(p.len);
         epollAdd(dst, packToken(FdKind::Pair, p.src, p.fd), p.fd);
-        queueGrant(dst, p.src, p.tag, p.len);
+        grantCredit(dst, p.src, p.tag, p.len);
         return static_cast<std::ptrdiff_t>(p.len);
     }
     auto mit = n.lastMiss.find(tag);
@@ -1000,11 +910,10 @@ TcpTransport::request(NodeId src, NodeId dst, int tag,
             static_cast<std::uint32_t>(payload.size())};
         std::uint8_t hdr[frame::controlHeaderBytes];
         frame::encodeControlHeader(hdr, h);
+        countFrame();
         writeTimed(fd, hdr, sizeof(hdr));
         if (!payload.empty())
             writeTimed(fd, payload.data(), payload.size());
-        wire_.framesSent.fetch_add(1, std::memory_order_relaxed);
-        TcpMetrics::get().framesSent.inc();
 
         // Wait out the reply, discarding stale replies from earlier
         // timed-out attempts by request id.
@@ -1141,11 +1050,10 @@ TcpTransport::serveControl(NodeId node, int fd)
         static_cast<std::uint32_t>(reply.size())};
     std::uint8_t rhdr[frame::controlHeaderBytes];
     frame::encodeControlHeader(rhdr, r);
+    countFrame();
     writeTimed(fd, rhdr, sizeof(rhdr));
     if (!reply.empty())
         writeTimed(fd, reply.data(), reply.size());
-    wire_.framesSent.fetch_add(1, std::memory_order_relaxed);
-    TcpMetrics::get().framesSent.inc();
     return true;
 }
 
@@ -1180,22 +1088,6 @@ TcpTransport::handlePairReadable(NodeId node, NodeId peer, int fd)
     }
     hb.got = 0; // consumed: ready for this connection's next header
     frame::MuxHeader h = frame::decodeMuxHeader(hb.bytes);
-    if (h.kind == frame::kindCredit) {
-        MutexLock lock(n.sendMutex);
-        auto it = n.streams.find(std::make_pair(peer, h.tag));
-        if (it == n.streams.end())
-            return; // grant for a stream we no longer track
-        TxStream &s = it->second;
-        s.credit += h.arg;
-        if (s.stalled && s.credit > 0) {
-            s.stalled = false;
-            std::uint64_t ns = monoNs() - s.stallStartNs;
-            wire_.creditStallsNs.fetch_add(ns,
-                                           std::memory_order_relaxed);
-            TcpMetrics::get().creditStallsNs.add(ns);
-        }
-        return; // the loop drains sends right after the event batch
-    }
     panicIf(h.kind != frame::kindStream,
             "TcpTransport: unexpected mux frame kind");
     panicIf(h.origin != peer,
@@ -1214,34 +1106,6 @@ TcpTransport::handlePairReadable(NodeId node, NodeId peer, int fd)
         auto it = n.outbound.find(fd);
         if (it != n.outbound.end())
             it->second.armed = false;
-    }
-}
-
-void
-TcpTransport::drainGrants(NodeId node)
-{
-    Node &n = *nodes_[node];
-    std::deque<Grant> pending;
-    {
-        MutexLock lock(n.sendMutex);
-        pending.swap(n.grants);
-    }
-    for (const Grant &g : pending) {
-        int fd = -1;
-        {
-            MutexLock lock(poolMutex_);
-            auto it = n.pairFd.find(g.peer);
-            if (it != n.pairFd.end())
-                fd = it->second;
-        }
-        if (fd < 0)
-            continue; // peer connection gone; its streams died too
-        frame::MuxHeader h{frame::kindCredit, node, g.tag, g.bytes};
-        std::uint8_t hdr[frame::muxHeaderBytes];
-        frame::encodeMuxHeader(hdr, h);
-        sendOrQueue(n, g.peer, fd, hdr, sizeof(hdr));
-        wire_.framesSent.fetch_add(1, std::memory_order_relaxed);
-        TcpMetrics::get().framesSent.inc();
     }
 }
 
@@ -1272,7 +1136,6 @@ TcpTransport::drainSends(NodeId node)
     // Pop every frame the credit windows allow, in per-stream FIFO
     // order, then write outside the lock.
     std::vector<TxFrame> batch;
-    bool popped = false;
     {
         MutexLock lock(n.sendMutex);
         for (auto &[key, s] : n.streams) {
@@ -1293,7 +1156,6 @@ TcpTransport::drainSends(NodeId node)
                     s.queue.pop_front();
                     s.active = false;
                     TcpMetrics::get().streamsActive.add(-1);
-                    popped = true;
                     continue;
                 }
                 if (s.credit <= 0) {
@@ -1304,7 +1166,6 @@ TcpTransport::drainSends(NodeId node)
                     break; // later frames wait behind the head (FIFO)
                 }
                 s.credit -= static_cast<std::int64_t>(front.size());
-                s.queuedBytes -= front.size();
                 TxFrame tx;
                 tx.fd = fit->second;
                 tx.peer = key.first;
@@ -1315,23 +1176,19 @@ TcpTransport::drainSends(NodeId node)
                 tx.payload = std::move(front);
                 batch.push_back(std::move(tx));
                 s.queue.pop_front();
-                popped = true;
             }
         }
     }
-    if (popped)
-        n.sendCv.notify_all();
 
     for (TxFrame &tx : batch) {
         // Non-blocking: what the socket refuses queues per
         // connection, so a full peer buffer can never wedge this
         // loop against another node's (the old write-write cycle).
+        countFrame();
         sendOrQueue(n, tx.peer, tx.fd, tx.header, sizeof(tx.header));
         if (!tx.payload.empty())
             sendOrQueue(n, tx.peer, tx.fd, tx.payload.data(),
                         tx.payload.size());
-        wire_.framesSent.fetch_add(1, std::memory_order_relaxed);
-        TcpMetrics::get().framesSent.inc();
     }
 }
 
@@ -1340,10 +1197,8 @@ TcpTransport::eventLoop(NodeId node)
 {
     Node &n = *nodes_[node];
     while (running_.load(std::memory_order_relaxed)) {
-        drainGrants(node);
         drainSends(node);
         flushPairWrites(node);
-        rescueStalledStreams(node);
 
         epoll_event evs[64];
         int rc = ::epoll_wait(n.epollFd, evs, 64, loopWaitMs);
@@ -1352,10 +1207,15 @@ TcpTransport::eventLoop(NodeId node)
                 continue;
             sysErr("epoll_wait");
         }
-        if (rc == 0)
-            continue;
-        wire_.epollWakeups.fetch_add(1, std::memory_order_relaxed);
-        TcpMetrics::get().epollWakeups.inc();
+        // A wakeup counts only when a socket is ready: the self-pipe
+        // merely reruns the drains above.
+        if (std::any_of(evs, evs + rc, [](const epoll_event &ev) {
+                return static_cast<FdKind>(ev.data.u64 >> 56) !=
+                       FdKind::Wake;
+            })) {
+            wire_.epollWakeups.fetch_add(1, std::memory_order_relaxed);
+            TcpMetrics::get().epollWakeups.inc();
+        }
 
         for (int i = 0; i < rc; ++i) {
             std::uint64_t token = evs[i].data.u64;

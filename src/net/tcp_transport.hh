@@ -33,14 +33,12 @@
  *
  *  - Backpressure: per-stream byte credit. A sender's event loop
  *    writes a stream's frames only while the stream has window left;
- *    receivers grant credit back as payloads are delivered to
- *    consumers. A slow receiver therefore stalls the one stream
- *    (`net.credit_stalls_ns`) instead of ballooning sender memory.
- *    Because pair connections are full-duplex, the grant that would
- *    unstall a stream can arrive *behind* a parked inbound data
- *    frame on the same socket; a stream stalled past a rescue
- *    threshold forces that connection's parked frames into the
- *    staging buffer so the grant becomes readable (TRANSPORT.md §5).
+ *    a consumer that takes a payload returns its bytes to the
+ *    sender's window directly (the whole fabric is one process, so a
+ *    grant is a locked add, never a wire frame). A slow receiver
+ *    therefore stalls the one stream (`net.credit_stalls_ns`) instead
+ *    of ballooning sender memory, and no grant can queue behind a
+ *    parked frame (TRANSPORT.md §4).
  *
  *  - Loop liveness: the event loop NEVER blocks on a pair socket.
  *    Writes go through a per-connection outbound byte queue drained
@@ -71,7 +69,6 @@
 
 #include <deque>
 #include <map>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -134,7 +131,6 @@ class TcpTransport final : public Transport
     struct TxStream
     {
         std::deque<std::vector<std::uint8_t>> queue;
-        std::size_t queuedBytes = 0;
         /** May go negative transiently: a frame is written whole once
          *  any window remains. */
         std::int64_t credit = 0;
@@ -144,20 +140,12 @@ class TcpTransport final : public Transport
         bool active = false;
     };
 
-    /** A pending credit grant this node's loop owes a peer. */
-    struct Grant
-    {
-        NodeId peer;
-        int tag;
-        std::uint32_t bytes;
-    };
-
     /**
      * Unwritten outbound bytes of one pair connection. The socket is
      * written only with MSG_DONTWAIT; whatever it refuses queues here
      * (off = consumed prefix), so the event loop never blocks in
      * send(2). Bounded by the credit windows of the streams sharing
-     * the connection plus the (tiny) grant frames.
+     * the connection.
      */
     struct OutBuf
     {
@@ -193,9 +181,9 @@ class TcpTransport final : public Transport
          * consumer threads (claim parked frames, stage misfits):
          * local deliveries, staged copies, parked frames, and the
          * per-tag miss tracking that decides when staging is forced.
-         * Lock order: recvMutex may be held while taking sendMutex
-         * (grant queuing), poolMutex_ and a peer's outMutex (the
-         * help-flush chain) — never the reverse.
+         * Lock order: recvMutex may be held while taking any node's
+         * sendMutex (credit grants), poolMutex_ and a peer's outMutex
+         * (the help-flush chain) — never the reverse.
          */
         Mutex recvMutex;
         std::deque<NetMessage> selfBox GUARDED_BY(recvMutex);
@@ -206,13 +194,11 @@ class TcpTransport final : public Transport
         std::uint64_t recvVersion GUARDED_BY(recvMutex) = 0;
         std::map<int, std::uint64_t> lastMiss GUARDED_BY(recvMutex);
 
-        /** Send side: per-stream queues drained by this node's loop,
-         *  plus credit grants owed to peers. */
+        /** Send side: per-stream queues drained by this node's loop;
+         *  receiving nodes' consumers add credit under this lock. */
         Mutex sendMutex;
-        CondVar sendCv;
         std::map<std::pair<NodeId, int>, TxStream> streams GUARDED_BY(
             sendMutex);
-        std::deque<Grant> grants GUARDED_BY(sendMutex);
 
         /** This node's end of each established pair connection,
          *  keyed by peer; guarded by the transport-wide poolMutex_
@@ -260,7 +246,6 @@ class TcpTransport final : public Transport
     void handlePairReadable(NodeId node, NodeId peer, int fd);
     /** Drop @p peer's pair connection after an orderly EOF. */
     void dropPair(NodeId node, NodeId peer, int fd);
-    void drainGrants(NodeId node);
     void drainSends(NodeId node);
     /** Serve one request frame from @p fd; false when the peer hung
      *  up (the fd is closed and must be dropped). */
@@ -285,25 +270,21 @@ class TcpTransport final : public Transport
     int ctrlConnFor(Node &n, NodeId src, NodeId dst)
         REQUIRES(n.ctrlMutex);
 
-    /** Deliver payload bytes back to @p src's credit window (and
-     *  wake our loop to write the grant frame). */
-    void queueGrant(NodeId node, NodeId src, int tag,
-                    std::uint32_t bytes);
+    /** Return @p bytes a consumer on @p node took to the window of
+     *  stream (@p src -> @p node, @p tag), waking @p src's loop when
+     *  that ends a stall. A stream @p src does not track (a foreign
+     *  peer's) is ignored. */
+    void grantCredit(NodeId node, NodeId src, int tag,
+                     std::uint32_t bytes);
 
-    /** Read parked frames' payloads into staged-side storage, re-arm
-     *  their fds, and record the copies. With @p onlyFds, stages just
-     *  the frames parked on those fds (others stay parked, order
-     *  preserved). */
-    void stageParked(NodeId node, Node &n,
-                     const std::set<int> *onlyFds = nullptr)
-        REQUIRES(n.recvMutex);
+    /** Read every parked frame's payload into staged-side storage,
+     *  re-arm the fds, and record the copies. */
+    void stageParked(NodeId node, Node &n) REQUIRES(n.recvMutex);
 
-    /** Deadlock guard run every loop iteration: a stream stalled on
-     *  credit past the rescue threshold may be waiting on a grant
-     *  trapped behind a parked inbound frame on the same (full-
-     *  duplex) pair connection — stage exactly those connections'
-     *  parked frames so the grant becomes readable. */
-    void rescueStalledStreams(NodeId node);
+    /** Count one frame in `net.frames_sent`. Called before the
+     *  frame's first byte reaches the socket, so a peer that has
+     *  read the frame always finds it counted. */
+    void countFrame();
 
     /** Write all of @p buf to @p fd, timing it into realWireNs.
      *  BLOCKING — control-plane connections only; the data plane
@@ -372,13 +353,6 @@ class TcpTransport final : public Transport
     Mutex handlerMutex_;
     std::vector<RequestHandler> handlers_ GUARDED_BY(handlerMutex_);
     std::atomic<bool> running_{true};
-
-    /** In-flight send() census: the destructor must not close fds or
-     *  free Node state while a sender released from the bounded-
-     *  queue wait is still on its way out. */
-    Mutex sendersMutex_;
-    CondVar sendersCv_;
-    int inFlightSenders_ GUARDED_BY(sendersMutex_) = 0;
 };
 
 } // namespace skyway

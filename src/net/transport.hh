@@ -78,8 +78,7 @@ struct RequestOptions
  * Construction-time knobs for a transport. Only the TCP transport
  * reads them; the model transport has no wire to tune. Environment
  * variables override these defaults so benches can sweep without a
- * rebuild: SKYWAY_NET_CREDIT_BYTES, SKYWAY_NET_QUEUE_LIMIT (see
- * docs/TRANSPORT.md §6).
+ * rebuild: SKYWAY_NET_CREDIT_BYTES (see docs/TRANSPORT.md §6).
  */
 struct TransportOptions
 {
@@ -92,15 +91,6 @@ struct TransportOptions
      * consumer storage. Must be > 0.
      */
     std::size_t creditWindowBytes = std::size_t{1} << 20;
-
-    /**
-     * Optional bound on *queued* (not yet written) bytes per stream;
-     * 0 = unbounded, preserving send()'s fire-and-forget contract.
-     * When set, send() blocks the caller once the stream's queue
-     * exceeds the limit — only safe for callers that drain from a
-     * separate thread.
-     */
-    std::size_t maxQueuedBytesPerStream = 0;
 };
 
 /**
@@ -112,8 +102,8 @@ struct TransportOptions
  */
 struct WireCounters
 {
-    /** Frames written to a socket (data, credit grants, requests,
-     *  replies). */
+    /** Frames written to a socket (data and end-of-stream, requests,
+     *  replies), counted before their first byte is written. */
     std::atomic<std::uint64_t> framesSent{0};
     /** Connect attempts beyond the first, plus request resends. */
     std::atomic<std::uint64_t> connectRetries{0};
@@ -123,7 +113,8 @@ struct WireCounters
     std::atomic<std::uint64_t> realWireNs{0};
     /** Wall nanoseconds streams spent stalled on exhausted credit. */
     std::atomic<std::uint64_t> creditStallsNs{0};
-    /** Event-loop epoll_wait() returns that reported ready fds. */
+    /** Event-loop epoll_wait() returns that reported a ready socket
+     *  (listener, pair or control; the wake pipe alone is not one). */
     std::atomic<std::uint64_t> epollWakeups{0};
     /** Data connections established into the pair pool (cumulative). */
     std::atomic<std::uint64_t> connectionsPooled{0};

@@ -98,12 +98,6 @@ TEST(Frame, MuxHeaderRoundTrip)
     EXPECT_EQ(out.origin, 3);
     EXPECT_EQ(out.tag, -9);
     EXPECT_EQ(out.arg, 123456u);
-
-    frame::MuxHeader c{frame::kindCredit, 1, 5, 4096};
-    frame::encodeMuxHeader(buf, c);
-    out = frame::decodeMuxHeader(buf);
-    EXPECT_EQ(out.kind, frame::kindCredit);
-    EXPECT_EQ(out.arg, 4096u);
 }
 
 TEST(Frame, ControlHeaderRoundTrip)
@@ -438,13 +432,13 @@ TEST(TcpCluster, CreditExhaustionStallsThenResumes)
 
 TEST(TcpCluster, CreditGrantBehindParkedFrameRescued)
 {
-    // Pair connections are full-duplex, so the grant that would
-    // unstall node 0's stream can arrive *behind* a parked inbound
-    // frame node 1 sent on the same socket. Both nodes send more
-    // than one window's worth and only node 1's tag is drained
-    // first: without the event loop's stall rescue (stage the
-    // stalled connection's parked frames so the trapped grant
-    // becomes readable) this deadlocks.
+    // Pair connections are full-duplex: while node 1's frame toward
+    // node 0 sits parked (unclaimed) on node 0's end, nothing behind
+    // it on that socket is readable. Credit grants therefore never
+    // ride the socket — a consumer returns credit to the sender's
+    // window in-process — so draining node 1's tag first neither
+    // deadlocks nor forces a staging copy: every payload byte of
+    // both directions lands zero-copy.
     TransportOptions topts;
     topts.creditWindowBytes = 2048; // exactly one frame in flight
     ClusterNetwork net(2, gigabitEthernet(), TransportKind::Tcp,
@@ -457,28 +451,92 @@ TEST(TcpCluster, CreditGrantBehindParkedFrameRescued)
         payload[0] = static_cast<std::uint8_t>(100 + i);
         net.send(1, 0, 6, payload);
     }
-    auto awaitTagBounded = [&](NodeId dst, int tag, NetMessage &m) {
+    std::vector<std::uint8_t> storage(payload.size());
+    auto awaitIntoBounded = [&](NodeId dst, int tag) {
         auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(30);
-        while (!net.pollTag(dst, tag, m)) {
+        std::ptrdiff_t got;
+        while ((got = net.pollTagInto(dst, tag, [&](std::size_t) {
+                    return storage.data();
+                })) < 0) {
             if (std::chrono::steady_clock::now() > deadline)
                 return false;
         }
-        return true;
+        return got == static_cast<std::ptrdiff_t>(payload.size());
     };
     for (int i = 0; i < frames; ++i) {
-        NetMessage m;
-        ASSERT_TRUE(awaitTagBounded(1, 5, m))
+        ASSERT_TRUE(awaitIntoBounded(1, 5))
             << "deadlocked: grant trapped behind parked frame";
-        ASSERT_EQ(m.payload.size(), payload.size());
-        EXPECT_EQ(m.payload[0], static_cast<std::uint8_t>(i));
+        EXPECT_EQ(storage[0], static_cast<std::uint8_t>(i));
     }
     for (int i = 0; i < frames; ++i) {
-        NetMessage m;
-        ASSERT_TRUE(awaitTagBounded(0, 6, m));
-        EXPECT_EQ(m.payload[0], static_cast<std::uint8_t>(100 + i));
+        ASSERT_TRUE(awaitIntoBounded(0, 6));
+        EXPECT_EQ(storage[0], static_cast<std::uint8_t>(100 + i));
     }
+    EXPECT_EQ(net.recvIntoBytes(), 2u * frames * payload.size())
+        << "a parked frame was staged (copied) instead of claimed";
     EXPECT_GT(net.creditStallsNs(), 0u);
+}
+
+TEST(TcpCluster, CreditWindowSweepLandsEveryByteZeroCopy)
+{
+    // Two streams each way between two nodes, sized to stall the
+    // small windows many times over and never the large ones. A
+    // round-robin pollTagInto drain must land every payload byte
+    // straight into posted storage, whatever the window.
+    constexpr int tags = 2;
+    constexpr int frames = 16;
+    constexpr std::size_t frameBytes = 1536; // not a window divisor
+    const std::size_t windows[] = {2u << 10, 4u << 10, 64u << 10,
+                                   1u << 20};
+    for (std::size_t window : windows) {
+        SCOPED_TRACE("creditWindowBytes=" + std::to_string(window));
+        TransportOptions topts;
+        topts.creditWindowBytes = window;
+        ClusterNetwork net(2, gigabitEthernet(), TransportKind::Tcp,
+                           topts);
+        std::vector<std::uint8_t> payload(frameBytes);
+        for (int i = 0; i < frames; ++i) {
+            for (int t = 0; t < tags; ++t) {
+                payload[0] = static_cast<std::uint8_t>(i);
+                payload[1] = static_cast<std::uint8_t>(t);
+                net.send(0, 1, 10 + t, payload);
+                net.send(1, 0, 10 + t, payload);
+            }
+        }
+        std::vector<std::uint8_t> storage(frameBytes);
+        int delivered[2][tags] = {};
+        int remaining = 2 * tags * frames;
+        auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(30);
+        while (remaining > 0) {
+            ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                << "stalled with " << remaining << " frames undelivered";
+            for (NodeId dst = 0; dst < 2; ++dst) {
+                for (int t = 0; t < tags; ++t) {
+                    if (delivered[dst][t] == frames)
+                        continue;
+                    std::ptrdiff_t got = net.pollTagInto(
+                        dst, 10 + t,
+                        [&](std::size_t) { return storage.data(); });
+                    if (got < 0)
+                        continue;
+                    ASSERT_EQ(got,
+                              static_cast<std::ptrdiff_t>(frameBytes));
+                    EXPECT_EQ(storage[0], static_cast<std::uint8_t>(
+                                              delivered[dst][t]));
+                    EXPECT_EQ(storage[1], static_cast<std::uint8_t>(t));
+                    ++delivered[dst][t];
+                    --remaining;
+                }
+            }
+        }
+        EXPECT_EQ(net.recvIntoBytes(),
+                  std::uint64_t{2} * tags * frames * frameBytes);
+        // Grants travel in-process: only data frames hit the wire.
+        EXPECT_EQ(net.framesSent(),
+                  std::uint64_t{2} * tags * frames);
+    }
 }
 
 TEST(TcpCluster, BidirectionalFloodDoesNotWedgeEventLoops)
@@ -537,27 +595,6 @@ TEST(TcpCluster, BidirectionalFloodDoesNotWedgeEventLoops)
     EXPECT_FALSE(net.poll(1, m));
 }
 
-TEST(TcpCluster, BoundedSendQueueBlocksUntilDrained)
-{
-    TransportOptions topts;
-    topts.maxQueuedBytesPerStream = 2048;
-    ClusterNetwork net(2, gigabitEthernet(), TransportKind::Tcp,
-                       topts);
-    constexpr int frames = 32;
-    std::thread drainer([&net] {
-        for (int i = 0; i < frames; ++i) {
-            NetMessage m = awaitTag(net, 1, 6);
-            EXPECT_EQ(m.payload[0], static_cast<std::uint8_t>(i));
-        }
-    });
-    std::vector<std::uint8_t> payload(1024);
-    for (int i = 0; i < frames; ++i) {
-        payload[0] = static_cast<std::uint8_t>(i);
-        net.send(0, 1, 6, payload); // blocks past 2 KiB queued
-    }
-    drainer.join();
-}
-
 namespace
 {
 
@@ -581,19 +618,6 @@ rawSend(int fd, const void *buf, std::size_t len)
 {
     ASSERT_EQ(::send(fd, buf, len, MSG_NOSIGNAL),
               static_cast<ssize_t>(len));
-}
-
-bool
-recvAll(int fd, std::uint8_t *buf, std::size_t len)
-{
-    std::size_t got = 0;
-    while (got < len) {
-        ssize_t n = ::recv(fd, buf + got, len - got, 0);
-        if (n <= 0)
-            return false;
-        got += static_cast<std::size_t>(n);
-    }
-    return true;
 }
 
 } // namespace
@@ -620,12 +644,9 @@ TEST(TcpCluster, PeerDisconnectAtFrameEdgeRecovers)
     }
     EXPECT_EQ(str(m.payload), "hello");
     EXPECT_EQ(wire.connectionsPooled.load(), 1u);
-    // ...absorbs the credit grant the delivery owes it, then hangs up
-    // at a frame edge: an orderly EOF that must drop the pooled pair,
-    // not panic.
-    std::uint8_t grant[frame::muxHeaderBytes];
-    ASSERT_TRUE(recvAll(fd, grant, sizeof(grant)));
-    EXPECT_EQ(frame::decodeMuxHeader(grant).kind, frame::kindCredit);
+    // ...then hangs up at a frame edge: an orderly EOF that must drop
+    // the pooled pair, not panic. (The delivery's credit grant goes
+    // nowhere: node 0 tracks no stream the foreign peer fed.)
     ::close(fd);
     // A real send from node 0 re-establishes a fresh pair connection.
     t.send(0, 1, 5, bytesOf("again"));
@@ -656,6 +677,28 @@ TEST(TcpCluster, PeerClosingMidFramePanics)
             std::this_thread::sleep_for(std::chrono::seconds(5));
         },
         "peer closed mid-frame");
+}
+
+TEST(TcpCluster, PeerSendingUnknownFrameKindPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            WireCounters wire;
+            TcpTransport t(2, wire);
+            int fd = rawConnect(t.listenPort(1));
+            std::uint8_t shake[frame::handshakeBytes];
+            frame::encodeHandshake(
+                shake, frame::Handshake{frame::channelData, 0});
+            rawSend(fd, shake, sizeof(shake));
+            // Stream data (kind 4) is the only mux kind; anything
+            // else is protocol damage.
+            std::uint8_t hdr[frame::muxHeaderBytes];
+            frame::encodeMuxHeader(hdr, frame::MuxHeader{5, 0, 5, 4096});
+            rawSend(fd, hdr, sizeof(hdr));
+            std::this_thread::sleep_for(std::chrono::seconds(5));
+        },
+        "unexpected mux frame kind");
 }
 
 TEST(TcpCluster, SixtyFourNodeRingAndChordSmoke)

@@ -37,6 +37,9 @@ main(int argc, char **argv)
         slots.push_back(roots.push(rec));
     }
 
+    const FieldDesc &recv_dst =
+        receiver.klasses().load("spark.Contrib")->requireField("dst");
+
     bench::printHeader(
         "Ablation 3: output-buffer / input-chunk size sweep");
     std::printf("%-12s %10s %10s %10s %10s\n", "chunk", "send_ms",
@@ -67,6 +70,22 @@ main(int argc, char **argv)
             ScopedTimer t(recv_ns);
             in.finish();
         }
+        // Every record was its own top-level object: root i must be
+        // the record whose dst is i, whichever chunk it landed in.
+        const std::vector<Address> &got = in.buffer().roots();
+        if (got.size() != slots.size())
+            fatal("bench_ablation_chunks: chunk " +
+                  std::to_string(chunk) + ": " +
+                  std::to_string(got.size()) + " roots for " +
+                  std::to_string(slots.size()) + " records");
+        for (std::size_t i = 0; i < got.size(); ++i)
+            if (field::get<std::int32_t>(receiver.heap(), got[i],
+                                         recv_dst) !=
+                static_cast<std::int32_t>(i))
+                fatal("bench_ablation_chunks: chunk " +
+                      std::to_string(chunk) + ": root " +
+                      std::to_string(i) + " is not record " +
+                      std::to_string(i));
         send_ns -= std::min(send_ns, recv_ns); // feed ran inside send
         std::printf("%-12zu %10.2f %10.2f %10zu %10llu\n", chunk,
                     send_ns / 1e6, recv_ns / 1e6,

@@ -169,6 +169,18 @@ main(int argc, char **argv)
                 row.value("total_ms", res.average.totalNs() / 1e6);
                 row.value("shuffled_bytes",
                           static_cast<double>(res.shuffledBytes));
+                if (ser == "skyway") {
+                    // Skyway's combined S+D time over Kryo's in this
+                    // cell (the columns run java, kryo, skyway).
+                    const SparkAppResult &kryo =
+                        grid[{spec.name, app}]["kryo"];
+                    row.value("sd_vs_kryo",
+                              static_cast<double>(res.average.serNs +
+                                                  res.average.deserNs) /
+                                  static_cast<double>(
+                                      kryo.average.serNs +
+                                      kryo.average.deserNs));
+                }
                 grid[{spec.name, app}][ser] = res;
             }
             // Cross-serializer result check.

@@ -131,17 +131,13 @@ injectCorruption(const WireIndex &index, const WireCheckConfig &cfg,
     case CorruptionKind::DanglingOffset: {
         std::uint64_t slot_off =
             pick(index.refSlotOffsets, rng, "reference slots");
-        // Either escape the logical address space entirely or land
-        // mid-object (record headers are >= 2 words, so start + one
-        // word is never an object start).
-        std::uint64_t logical_end =
-            index.records.empty()
-                ? 0
-                : index.records.back().logOffset +
-                      index.records.back().size;
+        // Either escape the logical address space (a raw stream's
+        // size: markers count) entirely or land mid-object (record
+        // headers are >= 2 words, so start + one word is never an
+        // object start).
         std::uint64_t target =
             (rng.nextBounded(2) == 0)
-                ? logical_end + wordSize * (1 + rng.nextBounded(1024))
+                ? stream.size() + wordSize * (1 + rng.nextBounded(1024))
                 : pick(index.records, rng, "records").logOffset +
                       wordSize;
         writeWord(stream, slot_off, target + 1);

@@ -286,6 +286,50 @@ WireValidator::scanRecord(const std::uint8_t *rec, std::size_t remaining,
     return size;
 }
 
+void
+WireValidator::scanTopMark(std::uint64_t phys)
+{
+    if (awaitingTopRecord_)
+        report(WireFault::BadRootRecord, phys,
+               "duplicated top mark: previous top mark at +" +
+                   std::to_string(awaitingTopOffset_) + " has no record");
+    awaitingTopRecord_ = true;
+    awaitingTopOffset_ = phys;
+    index_.topMarkOffsets.push_back(phys);
+    ++sum_.topMarks;
+    logical_ += wordSize;
+}
+
+void
+WireValidator::scanBackRef(std::uint64_t phys, std::uint64_t slot_phys,
+                           Word slot)
+{
+    if (awaitingTopRecord_) {
+        report(WireFault::BadRootRecord, phys,
+               "top mark at +" + std::to_string(awaitingTopOffset_) +
+                   " followed by a marker, not a record");
+        awaitingTopRecord_ = false;
+    }
+    // Backward references name objects decoded earlier in this
+    // stream, so the check is immediate.
+    if (slot != 0 && !isRecordStart(slot - 1))
+        report(WireFault::BadRootRecord, slot_phys,
+               "backward root reference " + std::to_string(slot - 1) +
+                   " is not a decoded object start");
+    index_.backRefOffsets.push_back(phys);
+    ++sum_.backRefs;
+    logical_ += 2 * wordSize;
+}
+
+void
+WireValidator::endRecord(std::size_t size)
+{
+    recordStarts_.push_back(logical_);
+    awaitingTopRecord_ = false;
+    ++sum_.records;
+    logical_ += size;
+}
+
 std::size_t
 WireValidator::scanCompactSegment(const std::uint8_t *data,
                                   std::size_t remaining,
@@ -310,8 +354,9 @@ WireValidator::scanCompactSegment(const std::uint8_t *data,
     }
 
     // The shared accounting below (recordStarts_, logical_, pending
-    // references, top-mark pairing) uses *expanded* record sizes, so
-    // raw and compact segments of one stream cross-check seamlessly.
+    // references, top-mark pairing) uses *expanded* sizes (records,
+    // and 8 or 16 bytes per marker), so raw and compact segments of
+    // one stream cross-check seamlessly.
     SafeCursor cur{data + head, static_cast<std::size_t>(payload_len)};
     auto itemFault = [&](std::uint64_t at, const std::string &what) {
         report(WireFault::BadCompactItem, at, what);
@@ -324,15 +369,7 @@ WireValidator::scanCompactSegment(const std::uint8_t *data,
         index_.compactItemOffsets.push_back(item_phys);
 
         if (tag == wire::ctTopMark) {
-            if (awaitingTopRecord_)
-                report(WireFault::BadRootRecord, item_phys,
-                       "duplicated top mark: previous top mark at +" +
-                           std::to_string(awaitingTopOffset_) +
-                           " has no record");
-            awaitingTopRecord_ = true;
-            awaitingTopOffset_ = item_phys;
-            index_.topMarkOffsets.push_back(item_phys);
-            ++sum_.topMarks;
+            scanTopMark(item_phys);
             continue;
         }
         if (tag == wire::ctBackRef) {
@@ -341,20 +378,7 @@ WireValidator::scanCompactSegment(const std::uint8_t *data,
                 return itemFault(item_phys,
                                  "backward reference missing its "
                                  "slot varint");
-            if (awaitingTopRecord_) {
-                report(WireFault::BadRootRecord, item_phys,
-                       "top mark at +" +
-                           std::to_string(awaitingTopOffset_) +
-                           " followed by a marker, not a record");
-                awaitingTopRecord_ = false;
-            }
-            if (slot != 0 && !isRecordStart(slot - 1))
-                report(WireFault::BadRootRecord, item_phys,
-                       "backward root reference " +
-                           std::to_string(slot - 1) +
-                           " is not a decoded object start");
-            index_.backRefOffsets.push_back(item_phys);
-            ++sum_.backRefs;
+            scanBackRef(item_phys, item_phys, slot);
             continue;
         }
 
@@ -526,10 +550,7 @@ WireValidator::scanCompactSegment(const std::uint8_t *data,
                                             std::to_string(tag));
         }
 
-        recordStarts_.push_back(logical_);
-        awaitingTopRecord_ = false;
-        ++sum_.records;
-        logical_ += size;
+        endRecord(size);
     }
     return head + static_cast<std::size_t>(payload_len);
 }
@@ -560,41 +581,18 @@ WireValidator::feed(const std::uint8_t *data, std::size_t len)
                 continue;
             }
             if (first == marker::topMark) {
-                if (awaitingTopRecord_)
-                    report(WireFault::BadRootRecord, phys,
-                           "duplicated top mark: previous top mark at +" +
-                               std::to_string(awaitingTopOffset_) +
-                               " has no record");
-                awaitingTopRecord_ = true;
-                awaitingTopOffset_ = phys;
-                index_.topMarkOffsets.push_back(phys);
-                ++sum_.topMarks;
+                scanTopMark(phys);
                 off += wordSize;
                 continue;
             }
             if (first == marker::backRef) {
-                if (awaitingTopRecord_) {
-                    report(WireFault::BadRootRecord, phys,
-                           "top mark at +" +
-                               std::to_string(awaitingTopOffset_) +
-                               " followed by a marker, not a record");
-                    awaitingTopRecord_ = false;
-                }
                 if (remaining < 2 * wordSize) {
                     report(WireFault::TruncatedRecord, phys,
                            "backward reference missing its slot word");
                     break;
                 }
-                Word slot = wordAt(data + off + wordSize);
-                // Backward references name objects decoded earlier in
-                // this stream, so the check is immediate.
-                if (slot != 0 && !isRecordStart(slot - 1))
-                    report(WireFault::BadRootRecord, phys + wordSize,
-                           "backward root reference " +
-                               std::to_string(slot - 1) +
-                               " is not a decoded object start");
-                index_.backRefOffsets.push_back(phys);
-                ++sum_.backRefs;
+                scanBackRef(phys, phys + wordSize,
+                            wordAt(data + off + wordSize));
                 off += 2 * wordSize;
                 continue;
             }
@@ -608,10 +606,7 @@ WireValidator::feed(const std::uint8_t *data, std::size_t len)
         std::size_t size = scanRecord(data + off, remaining, phys);
         if (size == 0)
             break; // fatal: cannot re-synchronize within this segment
-        recordStarts_.push_back(logical_);
-        awaitingTopRecord_ = false;
-        ++sum_.records;
-        logical_ += size;
+        endRecord(size);
         off += size;
     }
     physical_ += len;

@@ -11,7 +11,8 @@
  *
  *  - every klass word resolves in the type registry;
  *  - every relativized reference offset lands on a decoded object
- *    start within [0, flushedBytes);
+ *    start within the stream (a stream offset, markers included,
+ *    compact segments at their expanded size);
  *  - top marks and backward references delimit well-formed root
  *    records;
  *  - the baddr header word is cleared on the wire (the sender's claim
@@ -103,7 +104,8 @@ struct WireSummary
     std::uint64_t topMarks = 0;
     std::uint64_t backRefs = 0;
     std::uint64_t refSlots = 0;
-    /** Record bytes (markers occupy no logical address space). */
+    /** Stream bytes at expanded sizes, markers included (equal to
+     *  physicalBytes for a raw stream). */
     std::uint64_t logicalBytes = 0;
     /** All fed bytes, markers included. */
     std::uint64_t physicalBytes = 0;
@@ -178,6 +180,11 @@ class WireValidator
     void report(WireFault f, std::uint64_t off, std::string detail);
     bool isRecordStart(std::uint64_t logical) const;
     Klass *resolveTid(std::int32_t tid);
+    /** Shared raw/compact accounting for markers and records. */
+    void scanTopMark(std::uint64_t phys);
+    void scanBackRef(std::uint64_t phys, std::uint64_t slot_phys,
+                     Word slot);
+    void endRecord(std::size_t size);
     /** Scan one record at @p rec; returns its size, 0 on fatal fault. */
     std::size_t scanRecord(const std::uint8_t *rec,
                            std::size_t remaining,

@@ -65,8 +65,8 @@ relOf(Word w)
  * references). Both set the mark word's reserved top bits, which are
  * zero in every real object header (see objectformat.hh), so a
  * receiver scanning the stream at record boundaries can never confuse
- * a marker with an object's mark word. Markers delimit the stream but
- * occupy no logical (relative-address) space.
+ * a marker with an object's mark word. Markers take stream space like
+ * records, so a relative address is the record's stream offset.
  */
 namespace marker
 {
@@ -78,7 +78,7 @@ constexpr Word topMark = reserved | 0x70AD;
 
 /**
  * A top-level object that was already copied earlier in this phase;
- * one slot word follows (0 = null root, else relative address + 1).
+ * one slot word follows (0 = null root, else stream offset + 1).
  */
 constexpr Word backRef = reserved | 0xBACF;
 

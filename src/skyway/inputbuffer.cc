@@ -67,14 +67,16 @@ InputBuffer::recordSize(const std::uint8_t *rec, Klass *k) const
     return k->arrayBytes(static_cast<std::size_t>(len));
 }
 
-void
-InputBuffer::newChunk(std::size_t at_least)
+InputBuffer::Chunk &
+InputBuffer::chunkFor(std::size_t len)
 {
+    if (!chunks_.empty() && chunks_.back().fill + len <= chunks_.back().cap)
+        return chunks_.back();
     // Compact wire segments have arbitrary byte lengths; round the
     // capacity up so the finalize-time tail filler (and the heap
     // allocator) always see word-aligned extents.
-    std::size_t cap = wordAlign(std::max(chunkBytes_, at_least));
-    if (at_least > chunkBytes_)
+    std::size_t cap = wordAlign(std::max(chunkBytes_, len));
+    if (len > chunkBytes_)
         ++stats_.oversizedChunks;
     // Tenured allocation: input buffers live in the old generation.
     // No zeroing: the transport fills the chunk with records and
@@ -82,8 +84,47 @@ InputBuffer::newChunk(std::size_t at_least)
     // it.
     Address base = heap_.allocateOldRaw(cap, false);
     std::size_t pin = heap_.pinOldRange(base, cap);
-    chunks_.push_back(Chunk{base, cap, 0, pin});
+    std::uint64_t first =
+        chunks_.empty() ? 0
+                        : chunks_.back().firstLogical + chunks_.back().fill;
+    chunks_.push_back(Chunk{base, cap, 0, pin, first});
     ++stats_.chunksAllocated;
+    return chunks_.back();
+}
+
+Address
+InputBuffer::place(std::size_t len)
+{
+    Chunk &c = chunkFor(len);
+    Address pa = c.base + c.fill;
+    c.fill += len;
+    return pa;
+}
+
+std::size_t
+InputBuffer::commitMarker(bool is_back_ref, Word slot)
+{
+    panicIf(rootNext_, "InputBuffer: a top mark is not followed by a record");
+    // A backward reference names a record written earlier in the
+    // stream, so it resolves before the marker itself is committed.
+    if (is_back_ref)
+        roots_.push_back(slot == 0 ? nullAddr : resolveRel(slot - 1));
+    rootNext_ = !is_back_ref;
+    std::size_t size = is_back_ref ? 2 * wordSize : wordSize;
+    heap_.writeFillerAny(place(size), size);
+    return size;
+}
+
+Address
+InputBuffer::commitRecord(std::size_t size)
+{
+    Address pa = place(size);
+    if (rootNext_)
+        roots_.push_back(pa);
+    rootNext_ = false;
+    ++stats_.objectsReceived;
+    stats_.bytesReceived += size;
+    return pa;
 }
 
 void
@@ -99,10 +140,7 @@ InputBuffer::reserveChunk(std::size_t len)
     panicIf(finalized_, "InputBuffer: reserveChunk after finalize");
     panicIf(reserved_ != nullptr,
             "InputBuffer: a chunk reservation is already open");
-    if (chunks_.empty() ||
-        chunks_.back().fill + len > chunks_.back().cap)
-        newChunk(len);
-    Chunk &c = chunks_.back();
+    Chunk &c = chunkFor(len);
     reserved_ = reinterpret_cast<std::uint8_t *>(c.base + c.fill);
     reservedLen_ = len;
     return reserved_;
@@ -148,39 +186,35 @@ InputBuffer::commitChunk(std::size_t len)
         return;
     }
 
+    // The segment already sits at the stream end, so each place()
+    // below hands back the bytes at rec and advances the fill past
+    // them: a backward reference can name any earlier record, this
+    // segment's included.
     std::size_t off = 0;
     while (off < len) {
         std::uint8_t *rec = reserved_ + off;
-        Address pa = reinterpret_cast<Address>(rec);
         // Every read below is bounds-checked first: a truncated or
         // forged segment must not read past the reservation.
         std::size_t avail = len - off;
         panicIf(avail < wordSize, "InputBuffer: truncated record");
-        // Marker words delimit top-level objects; they occupy no
-        // logical address space. With the segment already sitting in
-        // chunk storage they are consumed and overwritten in place
-        // with heap filler records, so linear chunk walks skip them.
-        // A real object's mark word can never match: its reserved
-        // bits are always zero.
+        // Marker words delimit top-level objects. With the segment
+        // already sitting in chunk storage they are consumed and
+        // overwritten in place with heap filler records, so linear
+        // chunk walks skip them. A real object's mark word can never
+        // match: its reserved bits are always zero.
         Word first;
         std::memcpy(&first, rec, wordSize);
         if (marker::isMarker(first)) {
-            if (first == marker::topMark) {
-                // The next record is a top-level object.
-                pendingRoots_.push_back(RootSpec{false, logical_});
-                heap_.writeFillerAny(pa, wordSize);
-                off += wordSize;
-            } else if (first == marker::backRef) {
+            bool is_back_ref = first == marker::backRef;
+            panicIf(!is_back_ref && first != marker::topMark,
+                    "InputBuffer: unknown marker word");
+            Word slot = 0;
+            if (is_back_ref) {
                 panicIf(avail < 2 * wordSize,
                         "InputBuffer: truncated marker");
-                Word slot;
                 std::memcpy(&slot, rec + wordSize, wordSize);
-                pendingRoots_.push_back(RootSpec{true, slot});
-                heap_.writeFillerAny(pa, 2 * wordSize);
-                off += 2 * wordSize;
-            } else {
-                panic("InputBuffer: unknown marker word");
             }
+            off += commitMarker(is_back_ref, slot);
             continue;
         }
 
@@ -194,23 +228,10 @@ InputBuffer::commitChunk(std::size_t len)
         std::size_t size = recordSize(rec, k);
         panicIf(size > avail,
                 "InputBuffer: record spans a streamed segment");
-
-        // Extend the open logical run, or start a new one after a
-        // marker or a chunk boundary broke contiguity.
-        if (!runs_.empty() &&
-            runs_.back().base + runs_.back().bytes == pa &&
-            runs_.back().firstLogical + runs_.back().bytes == logical_)
-            runs_.back().bytes += size;
-        else
-            runs_.push_back(Run{logical_, pa, size});
-
-        logical_ += size;
+        commitRecord(size);
         off += size;
-        ++stats_.objectsReceived;
-        stats_.bytesReceived += size;
     }
 
-    chunks_.back().fill += len;
     stats_.zeroCopyBytes += len;
     reserved_ = nullptr;
     reservedLen_ = 0;
@@ -233,32 +254,11 @@ InputBuffer::expandSegment(const std::uint8_t *data, std::size_t len)
         return klassForTid(tid);
     };
     hooks.onMarker = [this](bool is_back_ref, Word slot) {
-        // Same bookkeeping the raw parser does for marker words,
-        // minus the filler: compact markers never occupied chunk
-        // space in the first place.
-        if (is_back_ref)
-            pendingRoots_.push_back(RootSpec{true, slot});
-        else
-            pendingRoots_.push_back(RootSpec{false, logical_});
+        commitMarker(is_back_ref, slot);
     };
     hooks.place = [this](std::size_t size) -> std::uint8_t * {
-        if (chunks_.empty() ||
-            chunks_.back().fill + size > chunks_.back().cap)
-            newChunk(size);
-        Chunk &c = chunks_.back();
-        Address pa = c.base + c.fill;
-        if (!runs_.empty() &&
-            runs_.back().base + runs_.back().bytes == pa &&
-            runs_.back().firstLogical + runs_.back().bytes == logical_)
-            runs_.back().bytes += size;
-        else
-            runs_.push_back(Run{logical_, pa, size});
-        c.fill += size;
-        logical_ += size;
-        ++stats_.objectsReceived;
-        stats_.bytesReceived += size;
         stats_.expandedBytes += size;
-        return reinterpret_cast<std::uint8_t *>(pa);
+        return reinterpret_cast<std::uint8_t *>(commitRecord(size));
     };
     std::size_t used =
         wire::expandCompactSegment(data, len, fmt_, hooks);
@@ -269,17 +269,18 @@ InputBuffer::expandSegment(const std::uint8_t *data, std::size_t len)
 Address
 InputBuffer::resolveRel(std::uint64_t rel) const
 {
-    // Find the logical run covering rel: runs are in ascending
-    // firstLogical order.
-    auto it = std::upper_bound(runs_.begin(), runs_.end(), rel,
-                               [](std::uint64_t r, const Run &run) {
-                                   return r < run.firstLogical;
+    // Each chunk's stream range ends where the next one's begins, so
+    // the last chunk starting at or before rel is the only candidate.
+    auto it = std::upper_bound(chunks_.begin(), chunks_.end(), rel,
+                               [](std::uint64_t r, const Chunk &c) {
+                                   return r < c.firstLogical;
                                });
-    panicIf(it == runs_.begin(), "InputBuffer: bad relative address");
+    panicIf(it == chunks_.begin(),
+            "InputBuffer: relative address in an empty buffer");
     --it;
     std::uint64_t off = rel - it->firstLogical;
-    panicIf(off >= it->bytes,
-            "InputBuffer: relative address outside any run");
+    panicIf(off >= it->fill,
+            "InputBuffer: relative address past the committed stream");
     return it->base + off;
 }
 
@@ -304,7 +305,7 @@ InputBuffer::absolutizeChunk(Chunk &c)
         std::size_t size = heap_.objectSize(a);
 
         // Absolutize every reference slot: relative address a' maps
-        // to run_base + (a' - run_first_logical).
+        // to chunk_base + (a' - chunk_first_logical).
         forEachRefSlot(heap_, a, [&](std::size_t off) {
             Word slot = heap_.loadWord(a, off);
             if (slot == 0)
@@ -339,20 +340,9 @@ InputBuffer::finalize()
             panic("SkywaySan: receiver wire validation failed: " +
                   validator_->firstFault());
     }
+    panicIf(rootNext_, "InputBuffer: a top mark is not followed by a record");
     for (Chunk &c : chunks_)
         absolutizeChunk(c);
-
-    // Resolve the roots noted while streaming, in write order.
-    roots_.reserve(pendingRoots_.size());
-    for (const RootSpec &spec : pendingRoots_) {
-        if (!spec.isBackRef)
-            roots_.push_back(resolveRel(spec.value));
-        else if (spec.value == 0)
-            roots_.push_back(nullAddr);
-        else
-            roots_.push_back(resolveRel(spec.value - 1));
-    }
-    pendingRoots_.clear();
 
     for (Chunk &c : chunks_) {
         // Make the unreached tail walkable, tell the card table about

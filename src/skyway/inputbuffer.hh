@@ -14,18 +14,21 @@
  * segment there (a socket receive, a modeled NIC DMA, a disk read),
  * and calls commitChunk(len). The commit parses the records *in
  * place*: marker words (top marks, backward references) are consumed
- * and overwritten with heap filler records — they occupy physical
- * chunk space but no logical (relative-address) space — and every
- * maximal marker-free stretch of records becomes one logical *run* in
- * the relative→absolute translation table. feed() is the same path
- * for byte-owning callers (framed serializer and file streams,
- * in-memory tests): reserve, one memcpy, commit.
+ * and overwritten with heap filler records. Markers take stream space
+ * like records do, so a relative address is a plain stream offset,
+ * and each chunk holds one contiguous stretch of the stream starting
+ * at its `firstLogical`: translation is "find the chunk, add its
+ * base" (paper section 4.3), one table entry per chunk. Roots are
+ * settled at commit: a top mark makes the next record a root, and a
+ * backward reference names a record committed earlier in the stream.
+ * feed() is the same path for byte-owning callers (framed serializer
+ * and file streams, in-memory tests): reserve, one memcpy, commit.
  *
  * While streaming, chunks are pinned *opaque* (klass words still hold
  * type IDs, references are still relative), so the GC neither walks
  * nor frees them. finalize() runs the single linear absolutization
  * pass: klass IDs become klass pointers via the registry view,
- * relative references become absolute addresses via the run
+ * relative references become absolute addresses via the chunk
  * translation, registered field updates are applied, the card table
  * is updated for the new pointers, and the chunks become pinned
  * *walkable* — live until the developer frees the buffer.
@@ -148,46 +151,52 @@ class InputBuffer
     void free();
 
     std::size_t chunkCount() const { return chunks_.size(); }
-    std::uint64_t totalBytes() const { return logical_; }
     const SkywayReceiveStats &stats() const { return stats_; }
 
   private:
+    /** Holds the stream bytes [firstLogical, firstLogical + fill);
+     *  chunks_ is the relative→absolute translation table. */
     struct Chunk
     {
         Address base;
         std::size_t cap;
         std::size_t fill;
         std::size_t pin;
-    };
-
-    /**
-     * One maximal stretch of records that is contiguous in both
-     * logical (relative-address) and physical (chunk) space. Markers
-     * and chunk boundaries end a run; the runs are the receiver's
-     * relative→absolute translation table.
-     */
-    struct Run
-    {
         std::uint64_t firstLogical;
-        Address base;
-        std::size_t bytes;
     };
 
     /** Resolve a klass from a wire type id (cached). */
     Klass *klassForTid(std::int32_t tid);
 
-    /** Translate a relative address to its absolute heap address. */
+    /** Translate a relative address (committed so far) to its
+     *  absolute heap address. */
     Address resolveRel(std::uint64_t rel) const;
 
     /** Size of the record whose bytes start at @p rec (local format). */
     std::size_t recordSize(const std::uint8_t *rec, Klass *k) const;
 
-    void newChunk(std::size_t at_least);
+    /** The open chunk, after opening a new one (oversized if needed)
+     *  when it cannot take @p len more bytes. */
+    Chunk &chunkFor(std::size_t len);
+
+    /** Commit @p len bytes at the stream end; returns their address. */
+    Address place(std::size_t len);
+
+    /**
+     * Commit one marker as a heap filler; returns its stream size. A
+     * top mark makes the next record a root, a backward reference
+     * resolves its slot (0 = null) at once.
+     */
+    std::size_t commitMarker(bool is_back_ref, Word slot);
+
+    /** Commit one record of @p size bytes (a root after a top mark). */
+    Address commitRecord(std::size_t size);
 
     /**
      * Re-expand the compact segment at @p data (marker + varint
-     * length + items) into full heap-format records placed through
-     * the regular chunk/run machinery; returns the consumed wire
+     * length + items) into full heap-format records and marker
+     * fillers placed through the regular chunk machinery, giving the
+     * raw stream's layout; returns the consumed wire
      * bytes. @p data must not alias chunk storage (commitChunk
      * stages the bytes out first).
      */
@@ -220,9 +229,6 @@ class InputBuffer
     ObjectFormat fmt_;
 
     std::vector<Chunk> chunks_;
-    /** Logical runs in ascending firstLogical order. */
-    std::vector<Run> runs_;
-    std::uint64_t logical_ = 0;
     bool finalized_ = false;
     bool freed_ = false;
 
@@ -230,19 +236,8 @@ class InputBuffer
     std::uint8_t *reserved_ = nullptr;
     std::size_t reservedLen_ = 0;
 
-    /**
-     * Roots noted while streaming, resolved to addresses at
-     * finalize(): a top mark names the logical offset of the record
-     * that follows it; a backward reference carries an encoded slot
-     * (0 = null).
-     */
-    struct RootSpec
-    {
-        bool isBackRef;
-        std::uint64_t value;
-    };
-    std::vector<RootSpec> pendingRoots_;
-
+    /** The next record (maybe in the next segment) is a root. */
+    bool rootNext_ = false;
     std::vector<Address> roots_;
     /** Staging for compact wire bytes whose expansion overwrites the
      *  chunk region they arrived in (reused across segments). */

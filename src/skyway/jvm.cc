@@ -1,5 +1,9 @@
 #include "skyway/jvm.hh"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 namespace skyway
 {
 
@@ -21,6 +25,14 @@ Jvm::Jvm(const ClassCatalog &catalog, ClusterNetwork &net, NodeId id,
       builder_(heap_, klasses_),
       disk_()
 {
+#ifdef __GLIBC__
+    // Shuffles free and reallocate native buffers of 256 KiB to tens
+    // of MiB every phase. Keep them in the process heap, as a JVM
+    // keeps its native arenas: glibc's defaults hand them back to the
+    // kernel, and each phase would pay first-touch page faults again.
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
     if (id == driver_id)
         driver_ = std::make_unique<TypeRegistryDriver>(net, id, klasses_);
     else

@@ -4,12 +4,16 @@
  * in *native* (off-heap) memory — they must not interact with the GC,
  * which could otherwise reclaim objects before they are sent — with
  * streaming: the buffer flushes to its sink whenever the next record
- * does not fit, and `flushedBytes` tracks how much logical address
- * space has already left the buffer (Algorithm 2, line 10).
+ * does not fit, and the bytes already flushed are subtracted from a
+ * record's address to find its place in the buffer (Algorithm 2,
+ * line 10).
  *
- * Records never span a flush boundary, so every flushed segment is a
- * whole number of object records; the receiver relies on this when
- * placing records into heap chunks.
+ * Records and marker words (top marks, backward references) both
+ * claim space, so a record's logical (relative) address is exactly
+ * its offset in the flushed stream. Records never span a flush
+ * boundary, so every flushed segment is a whole number of records
+ * and markers; the receiver relies on this when placing records
+ * into heap chunks.
  */
 
 #ifndef SKYWAY_SKYWAY_OUTPUTBUFFER_HH
@@ -48,7 +52,8 @@ class OutputBuffer
     /** Logical end of the buffer: where the next record will go. */
     std::uint64_t allocableAddr() const { return allocable_; }
 
-    /** Claim @p bytes of logical space for a discovered object. */
+    /** Claim @p bytes of logical space for a discovered object or a
+     *  marker. */
     std::uint64_t
     claim(std::size_t bytes)
     {
@@ -56,9 +61,6 @@ class OutputBuffer
         allocable_ += bytes;
         return addr;
     }
-
-    /** Logical bytes already streamed out. */
-    std::uint64_t flushedBytes() const { return flushed_; }
 
     /**
      * Return a pointer to physical space for the record at logical
@@ -68,23 +70,22 @@ class OutputBuffer
     std::uint8_t *
     writeAt(std::uint64_t addr, std::size_t bytes)
     {
-        panicIf(addr != logicalWritten_,
+        panicIf(addr != totalBytes(),
                 "OutputBuffer: non-sequential record write");
-        logicalWritten_ += bytes;
         return reserve(bytes);
     }
 
     /**
-     * Append marker words to the physical stream *without* consuming
-     * logical address space: the receiver strips markers before
-     * placing records, so relative addresses ignore them (the
-     * paper's top marks are delimiters, not objects).
+     * Claim and write marker words between two top-level objects. A
+     * marker takes stream space like a record (the paper keeps top
+     * marks in the output buffer), so it must come when every claimed
+     * record has been written.
      */
     void
     writeMarker(const Word *words, std::size_t n)
     {
-        std::uint8_t *p = reserve(n * wordSize);
-        std::memcpy(p, words, n * wordSize);
+        std::size_t bytes = n * wordSize;
+        std::memcpy(writeAt(claim(bytes), bytes), words, bytes);
     }
 
     /** Force out whatever the buffer holds. */
@@ -98,7 +99,7 @@ class OutputBuffer
         used_ = 0;
     }
 
-    /** Total logical bytes produced so far (streamed + resident). */
+    /** Total bytes produced so far (streamed + resident). */
     std::uint64_t totalBytes() const { return flushed_ + used_; }
 
   private:
@@ -125,7 +126,6 @@ class OutputBuffer
     FlushFn flush_;
     std::uint64_t allocable_ = 0;
     std::uint64_t flushed_ = 0;
-    std::uint64_t logicalWritten_ = 0;
     std::size_t used_ = 0;
 };
 

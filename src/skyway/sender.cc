@@ -145,8 +145,8 @@ SkywaySender::writeRecord(Address s, std::uint64_t addr)
 {
     Klass *k = heap_.klassOf(s);
     std::size_t size = sizeInTarget(s, k);
-    // Algorithm 2 line 10: the record lands at addr - flushedBytes in
-    // the physical buffer; OutputBuffer::writeAt performs that
+    // Algorithm 2 line 10: the record lands at addr minus the bytes
+    // already flushed; OutputBuffer::writeAt performs that
     // subtraction and flushes first when the record does not fit.
     std::uint8_t *dst = ob_.writeAt(addr, size);
 

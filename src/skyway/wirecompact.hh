@@ -148,8 +148,9 @@ struct WirePolicy
 /**
  * Receiver hooks for expandCompactSegment. `place(bytes)` must return
  * heap-chunk storage for one full-format record (the expander writes
- * header + payload; callers do run/stats bookkeeping). `onMarker` is
- * invoked for top marks and backward references in stream order.
+ * header + payload; callers do root and stats bookkeeping). `onMarker`
+ * is invoked for top marks and backward references in stream order
+ * and takes their 8 or 16 stream bytes (the receiver: a filler).
  */
 struct ExpandHooks
 {

@@ -201,6 +201,63 @@ TEST_F(FailureTest, SkywayBadRelativeAddressDies)
     SkywayObjectInputStream in(b_.skyway());
     in.feed(bytes.data(), bytes.size());
     EXPECT_DEATH(in.finish(), "relative address");
+
+    // The same across many chunks. Roots: a 400-node list L, L again
+    // (a backward reference), then the Pair. A 1 KiB output buffer and
+    // 1 KiB input chunks spread the stream over many chunks; the
+    // validator is off, so the translation itself must refuse each
+    // forged slot.
+    a_.skyway().shuffleStart();
+    std::size_t rl = roots.push(testing_support::makeList(a_, roots, 400));
+    std::vector<std::uint8_t> multi;
+    std::vector<std::size_t> segs;
+    SkywayObjectOutputStream chunked(
+        a_.skyway(),
+        [&](const std::uint8_t *d, std::size_t n) {
+            multi.insert(multi.end(), d, d + n);
+            segs.push_back(n);
+        },
+        1 << 10);
+    chunked.writeObject(roots.get(rl));
+    std::uint64_t back_ref = chunked.totalBytes();
+    chunked.writeObject(roots.get(rl));
+    // A relative address is a stream offset: the Pair's record follows
+    // its 8-byte top mark.
+    std::uint64_t pair_rec = chunked.totalBytes() + wordSize;
+    chunked.writeObject(roots.get(rp));
+    chunked.flush();
+    ASSERT_EQ(multi.size(), chunked.totalBytes());
+
+    auto receive = [&](const std::vector<std::uint8_t> &wire) {
+        SkywayObjectInputStream sin(b_.skyway(), 1 << 10);
+        std::size_t off = 0;
+        for (std::size_t n : segs) {
+            sin.feed(wire.data() + off, n);
+            off += n;
+        }
+        sin.finish();
+        return sin.buffer().chunkCount();
+    };
+    auto forge = [&](std::uint64_t at, Word slot) {
+        std::vector<std::uint8_t> wire = multi;
+        std::memcpy(wire.data() + at, &slot, sizeof(slot));
+        return wire;
+    };
+    EXPECT_GT(receive(multi), 4u) << "the clean stream spans chunks";
+
+    // A reference slot past the committed end of the stream.
+    std::vector<std::uint8_t> past = forge(
+        pair_rec + b_.heap().format().headerBytes(), multi.size() + 65);
+    EXPECT_DEATH(receive(past), "relative address");
+
+    // A backward reference naming the Pair record, a real record start
+    // that is not committed yet when the marker is read.
+    Word marker_word;
+    std::memcpy(&marker_word, multi.data() + back_ref, sizeof(Word));
+    ASSERT_EQ(marker_word, marker::backRef);
+    std::vector<std::uint8_t> ahead =
+        forge(back_ref + wordSize, pair_rec + 1);
+    EXPECT_DEATH(receive(ahead), "relative address");
 }
 
 TEST_F(FailureTest, ByteSourceGuards)

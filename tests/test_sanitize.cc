@@ -148,7 +148,9 @@ TEST_F(SanitizeTest, CleanStreamValidates)
     EXPECT_GT(v.summary().records, 4u) << "content + media + images";
     EXPECT_GT(v.summary().refSlots, 0u);
     EXPECT_EQ(v.summary().physicalBytes, bytes.size());
-    EXPECT_LT(v.summary().logicalBytes, v.summary().physicalBytes);
+    // Markers count in relative addresses: a raw stream's logical end
+    // is its byte count.
+    EXPECT_EQ(v.summary().logicalBytes, v.summary().physicalBytes);
 }
 
 TEST_F(SanitizeTest, SummaryAgreesWithSenderStats)

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sanitize/corrupt.hh"
+#include "sanitize/graphcheck.hh"
 #include "skyway/parallel.hh"
 #include "skyway/streams.hh"
 #include "skyway/wirecompact.hh"
@@ -401,6 +402,80 @@ TEST_F(WireCompactTest, ExpandAccountingExcludesZeroCopy)
     EXPECT_EQ(st.expandedBytes, st.bytesReceived);
     EXPECT_GT(st.expandNs, 0u);
     EXPECT_GT(st.objectsReceived, 0u);
+}
+
+TEST_F(WireCompactTest, TopMarkEndingASegmentRootsTheNextChunk)
+{
+    // Root i is Pair(left = Point(i) with a cached hash, right = root
+    // i-1's Point), so every root is one top mark plus two records.
+    // The output buffer holds k whole roots and one more top mark:
+    // the first segment ends with that mark, and its root record
+    // arrives in the next segment, which opens a new 4 KiB chunk.
+    constexpr std::size_t chunk = 4 << 10;
+    Klass *pairK = nodeA_.klasses().load("test.Pair");
+    const FieldDesc &left = pairK->requireField("left");
+    const FieldDesc &right = pairK->requireField("right");
+    std::size_t unit = wordSize + pairK->instanceBytes() +
+                       nodeA_.klasses().load("test.Point")->instanceBytes();
+    std::size_t cap = (chunk - wordSize) / unit * unit + wordSize;
+
+    LocalRoots roots(nodeA_.heap());
+    std::vector<std::size_t> slots;
+    for (int i = 0; i < 300; ++i) {
+        Address pt = makePoint(nodeA_, i, -i);
+        if (i % 2 == 0)
+            nodeA_.heap().identityHash(pt);
+        std::size_t ps = roots.push(pt);
+        Address pair = nodeA_.heap().allocateInstance(pairK);
+        field::setRef(nodeA_.heap(), pair, left, roots.get(ps));
+        if (!slots.empty())
+            field::setRef(nodeA_.heap(), pair, right,
+                          field::getRef(nodeA_.heap(),
+                                        roots.get(slots.back()), left));
+        slots.push_back(roots.push(pair));
+    }
+
+    for (WireCompactMode mode :
+         {WireCompactMode::Off, WireCompactMode::Force}) {
+        SCOPED_TRACE(mode == WireCompactMode::Off ? "raw" : "force");
+        nodeA_.skyway().setWireCompactMode(mode);
+        nodeA_.skyway().shuffleStart();
+        std::vector<std::vector<std::uint8_t>> segs;
+        SkywayObjectOutputStream out(
+            nodeA_.skyway(),
+            [&segs](const std::uint8_t *d, std::size_t n) {
+                segs.emplace_back(d, d + n);
+            },
+            cap);
+        for (std::size_t s : slots)
+            out.writeObject(roots.get(s));
+        out.flush();
+        ASSERT_GE(segs.size(), 2u);
+        const std::vector<std::uint8_t> &first = segs.front();
+        if (mode == WireCompactMode::Off) {
+            ASSERT_EQ(first.size(), cap);
+            Word last;
+            std::memcpy(&last, first.data() + cap - wordSize, wordSize);
+            EXPECT_EQ(last, marker::topMark);
+        } else {
+            ASSERT_TRUE(wire::isCompactSegment(first.data(), first.size()));
+            EXPECT_EQ(first.back(), wire::ctTopMark);
+        }
+        // The first segment expands to cap bytes; the second cannot
+        // share its chunk.
+        ASSERT_GT(cap + segs[1].size(), chunk);
+
+        keep_.push_back(receiveZeroCopy(segs, chunk));
+        const InputBuffer &in = *keep_.back();
+        EXPECT_GE(in.chunkCount(), 2u);
+        ASSERT_EQ(in.roots().size(), slots.size());
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            sanitize::GraphCheckResult r = sanitize::checkHeapGraphs(
+                nodeA_.heap(), roots.get(slots[i]), nodeB_.heap(),
+                in.roots()[i]);
+            EXPECT_TRUE(r.equal) << "root " << i << ": " << r.divergence;
+        }
+    }
 }
 
 TEST_F(WireCompactTest, ParallelFanOutUnderForcedCompaction)

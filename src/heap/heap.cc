@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include "obs/metrics.hh"
 #include "support/rng.hh"
 
@@ -124,6 +127,25 @@ ManagedHeap::allocateArray(Klass *k, std::size_t length)
     initHeader(a, k);
     storeWord(a, format().arrayLengthOffset(), length);
     return a;
+}
+
+void
+ManagedHeap::prefault(Address a, std::size_t bytes)
+{
+#ifdef MADV_POPULATE_WRITE
+    if (bytes == 0)
+        return;
+    static const auto page =
+        static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    Address lo = a & ~(page - 1);
+    Address hi = alignUp(a + bytes, page);
+    // Failure only means the pages fault in on first touch instead.
+    (void)madvise(reinterpret_cast<void *>(lo), hi - lo,
+                  MADV_POPULATE_WRITE);
+#else
+    (void)a;
+    (void)bytes;
+#endif
 }
 
 Address

@@ -85,6 +85,15 @@ class ManagedHeap
      */
     Address allocateOldRaw(std::size_t bytes, bool zero = true);
 
+    /**
+     * Fault in the pages under [a, a+bytes) writable ahead of a bulk
+     * write (madvise MADV_POPULATE_WRITE), so a transport filling an
+     * input-buffer reservation takes one system call instead of one
+     * trap per fresh page. Contents are unchanged. A no-op where the
+     * kernel (before Linux 5.14) or the platform lacks the advice.
+     */
+    void prefault(Address a, std::size_t bytes);
+
     /// @}
     /// @name Raw typed access
     /// @{

@@ -15,6 +15,19 @@
 namespace skyway
 {
 
+namespace
+{
+
+/** True when records of @p k carry reference slots to absolutize. */
+bool
+holdsRefs(const Klass *k)
+{
+    return k->isArray() ? k->elemType() == FieldType::Ref
+                        : !k->refOffsets().empty();
+}
+
+} // namespace
+
 InputBuffer::InputBuffer(SkywayContext &ctx, std::size_t chunk_bytes)
     : ctx_(ctx),
       heap_(ctx.heap()),
@@ -87,7 +100,7 @@ InputBuffer::chunkFor(std::size_t len)
     std::uint64_t first =
         chunks_.empty() ? 0
                         : chunks_.back().firstLogical + chunks_.back().fill;
-    chunks_.push_back(Chunk{base, cap, 0, pin, first});
+    chunks_.push_back(Chunk{base, cap, 0, pin, first, false});
     ++stats_.chunksAllocated;
     return chunks_.back();
 }
@@ -116,9 +129,11 @@ InputBuffer::commitMarker(bool is_back_ref, Word slot)
 }
 
 Address
-InputBuffer::commitRecord(std::size_t size)
+InputBuffer::commitRecord(std::size_t size, const Klass *k)
 {
     Address pa = place(size);
+    if (holdsRefs(k))
+        chunks_.back().hasRefs = true;
     if (rootNext_)
         roots_.push_back(pa);
     rootNext_ = false;
@@ -143,6 +158,10 @@ InputBuffer::reserveChunk(std::size_t len)
     Chunk &c = chunkFor(len);
     reserved_ = reinterpret_cast<std::uint8_t *>(c.base + c.fill);
     reservedLen_ = len;
+    // The transport is about to write every reserved byte: fault the
+    // pages in with one call rather than one trap per fresh page. Only
+    // the reservation: a chunk's unused capacity stays untouched.
+    heap_.prefault(c.base + c.fill, len);
     return reserved_;
 }
 
@@ -228,7 +247,10 @@ InputBuffer::commitChunk(std::size_t len)
         std::size_t size = recordSize(rec, k);
         panicIf(size > avail,
                 "InputBuffer: record spans a streamed segment");
-        commitRecord(size);
+        commitRecord(size, k);
+        // Absolutize the type in place: the validator has read the
+        // segment already, and nothing reads the type id again.
+        std::memcpy(rec + offsetKlass, &k, wordSize);
         off += size;
     }
 
@@ -256,9 +278,10 @@ InputBuffer::expandSegment(const std::uint8_t *data, std::size_t len)
     hooks.onMarker = [this](bool is_back_ref, Word slot) {
         commitMarker(is_back_ref, slot);
     };
-    hooks.place = [this](std::size_t size) -> std::uint8_t * {
+    hooks.place = [this](std::size_t size,
+                         const Klass *k) -> std::uint8_t * {
         stats_.expandedBytes += size;
-        return reinterpret_cast<std::uint8_t *>(commitRecord(size));
+        return reinterpret_cast<std::uint8_t *>(commitRecord(size, k));
     };
     std::size_t used =
         wire::expandCompactSegment(data, len, fmt_, hooks);
@@ -285,23 +308,18 @@ InputBuffer::resolveRel(std::uint64_t rel) const
 }
 
 void
-InputBuffer::absolutizeChunk(Chunk &c)
+InputBuffer::absolutizeChunk(Chunk &c, bool have_updates)
 {
     Address a = c.base;
     Address end = c.base + c.fill;
-    bool have_updates = !ctx_.updates().empty();
 
     while (a < end) {
-        // Consumed markers were overwritten with fillers at commit.
+        // Consumed markers were overwritten with fillers at commit,
+        // and every klass word holds a klass pointer since then.
         if (ManagedHeap::isFiller(a)) {
             a += ManagedHeap::fillerSize(a);
             continue;
         }
-        Word tid_word = heap_.loadWord(a, offsetKlass);
-        Klass *k = klassForTid(static_cast<std::int32_t>(tid_word));
-        // Absolutize the type: registry view id -> local klass
-        // pointer.
-        heap_.storeWord(a, offsetKlass, reinterpret_cast<Word>(k));
         std::size_t size = heap_.objectSize(a);
 
         // Absolutize every reference slot: relative address a' maps
@@ -316,7 +334,7 @@ InputBuffer::absolutizeChunk(Chunk &c)
         });
 
         if (have_updates) {
-            ctx_.updates().apply(heap_, k, a);
+            ctx_.updates().apply(heap_, heap_.klassOf(a), a);
             ++stats_.fieldUpdatesApplied;
         }
         a += size;
@@ -326,8 +344,9 @@ InputBuffer::absolutizeChunk(Chunk &c)
 void
 InputBuffer::finalize()
 {
-    // The absolutization scan is the receiver's only O(bytes) CPU
-    // cost (paper section 4.3); its time is the span to watch.
+    // Types were absolutized at commit, so the scan here visits only
+    // the chunks holding reference slots (or every chunk when field
+    // updates are registered); its time is the span to watch.
     SKYWAY_SPAN("receiver.absolutize");
     panicIf(finalized_, "InputBuffer: finalize called twice");
     panicIf(reserved_ != nullptr,
@@ -341,15 +360,19 @@ InputBuffer::finalize()
                   validator_->firstFault());
     }
     panicIf(rootNext_, "InputBuffer: a top mark is not followed by a record");
+    bool have_updates = !ctx_.updates().empty();
     for (Chunk &c : chunks_)
-        absolutizeChunk(c);
+        if (c.hasRefs || have_updates)
+            absolutizeChunk(c, have_updates);
 
     for (Chunk &c : chunks_) {
-        // Make the unreached tail walkable, tell the card table about
-        // the new old-generation pointers, and let the GC see the
-        // chunk as a sequence of live objects.
+        // Make the unreached tail walkable and let the GC see the
+        // chunk as a sequence of live objects. A received reference
+        // points into this buffer (old to old), so the card table
+        // needs to hear only about what a field update may have
+        // stored: possibly a young object.
         heap_.writeFillerAny(c.base + c.fill, c.cap - c.fill);
-        if (c.fill > 0)
+        if (have_updates && c.fill > 0)
             heap_.dirtyCardRange(c.base, c.fill);
         heap_.makePinWalkable(c.pin);
     }

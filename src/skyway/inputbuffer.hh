@@ -12,9 +12,13 @@
  * Ingest has one path: the transport calls reserveChunk(len) to get
  * a pointer directly into old-gen chunk storage, writes the streamed
  * segment there (a socket receive, a modeled NIC DMA, a disk read),
- * and calls commitChunk(len). The commit parses the records *in
- * place*: marker words (top marks, backward references) are consumed
- * and overwritten with heap filler records. Markers take stream space
+ * and calls commitChunk(len). reserveChunk prefaults exactly the
+ * reserved pages, so that write takes one system call rather than a
+ * page-fault trap per fresh page. The commit parses the records *in
+ * place*: each record's klass word turns from a type id into the
+ * local klass pointer (the parser resolves the klass anyway), and
+ * marker words (top marks, backward references) are consumed and
+ * overwritten with heap filler records. Markers take stream space
  * like records do, so a relative address is a plain stream offset,
  * and each chunk holds one contiguous stretch of the stream starting
  * at its `firstLogical`: translation is "find the chunk, add its
@@ -24,14 +28,17 @@
  * feed() is the same path for byte-owning callers (framed serializer
  * and file streams, in-memory tests): reserve, one memcpy, commit.
  *
- * While streaming, chunks are pinned *opaque* (klass words still hold
- * type IDs, references are still relative), so the GC neither walks
- * nor frees them. finalize() runs the single linear absolutization
- * pass: klass IDs become klass pointers via the registry view,
- * relative references become absolute addresses via the chunk
- * translation, registered field updates are applied, the card table
- * is updated for the new pointers, and the chunks become pinned
- * *walkable* — live until the developer frees the buffer.
+ * While streaming, chunks are pinned *opaque* (references are still
+ * relative), so the GC neither walks nor frees them. finalize() runs
+ * the linear absolutization pass over the chunks that need it: a
+ * chunk is walked only when a record committed into it has reference
+ * slots, or when field updates are registered. Relative references
+ * become absolute addresses via the chunk translation and registered
+ * field updates are applied. A received reference always points into
+ * the same buffer (old to old), so cards are dirtied only when field
+ * updates are registered, as an update may store a young pointer.
+ * The chunks then become pinned *walkable* — live until the developer
+ * frees the buffer.
  */
 
 #ifndef SKYWAY_SKYWAY_INPUTBUFFER_HH
@@ -108,8 +115,9 @@ class InputBuffer
      * old-gen chunk storage for an incoming segment (opening a new
      * chunk — oversized if needed — when the current one cannot hold
      * it). The transport writes the segment bytes directly into the
-     * returned pointer and then calls commitChunk(). At most one
-     * reservation may be outstanding.
+     * returned pointer and then calls commitChunk(). The reserved
+     * pages (and no others) are prefaulted. At most one reservation
+     * may be outstanding.
      */
     std::uint8_t *reserveChunk(std::size_t len);
 
@@ -119,7 +127,9 @@ class InputBuffer
      * records, or exactly one compact segment. Validate them, then
      * parse raw records in place (counted in
      * `skyway.receiver.zero_copy_bytes`) or expand the compact
-     * segment.
+     * segment. Either way every committed record leaves with its
+     * klass pointer in place of the type id, and its chunk is flagged
+     * when the klass has reference slots.
      */
     void commitChunk(std::size_t len);
 
@@ -132,9 +142,11 @@ class InputBuffer
     void feed(const std::uint8_t *data, std::size_t len);
 
     /**
-     * The single linear absolutization pass; call once streaming has
-     * finished. Computation on the buffer must block until this
-     * completes.
+     * The linear absolutization pass; call once streaming has
+     * finished. Walks only the chunks holding reference slots, or all
+     * of them when field updates are registered (whose stores are
+     * also the only reason to dirty the chunks' cards). Computation
+     * on the buffer must block until this completes.
      */
     void finalize();
 
@@ -163,6 +175,8 @@ class InputBuffer
         std::size_t fill;
         std::size_t pin;
         std::uint64_t firstLogical;
+        /** A committed record has reference slots: finalize walks it. */
+        bool hasRefs;
     };
 
     /** Resolve a klass from a wire type id (cached). */
@@ -189,8 +203,9 @@ class InputBuffer
      */
     std::size_t commitMarker(bool is_back_ref, Word slot);
 
-    /** Commit one record of @p size bytes (a root after a top mark). */
-    Address commitRecord(std::size_t size);
+    /** Commit one record of @p size bytes and klass @p k (a root
+     *  after a top mark). The caller stores the klass pointer. */
+    Address commitRecord(std::size_t size, const Klass *k);
 
     /**
      * Re-expand the compact segment at @p data (marker + varint
@@ -203,7 +218,9 @@ class InputBuffer
     std::size_t expandSegment(const std::uint8_t *data,
                               std::size_t len);
 
-    void absolutizeChunk(Chunk &c);
+    /** Absolutize @p c's references, applying field updates to every
+     *  record when @p have_updates. */
+    void absolutizeChunk(Chunk &c, bool have_updates);
 
     /**
      * SkywaySan post-finalize structural audit

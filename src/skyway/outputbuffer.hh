@@ -44,6 +44,7 @@ class OutputBuffer
         : buf_(std::make_unique_for_overwrite<std::uint8_t[]>(
               capacity)),
           cap_(capacity),
+          baseCap_(capacity),
           flush_(std::move(flush))
     {
         panicIf(capacity < 64, "OutputBuffer: capacity too small");
@@ -99,6 +100,26 @@ class OutputBuffer
         used_ = 0;
     }
 
+    /**
+     * Start a new stream in the same storage: the next record goes
+     * to logical address 0, and a buffer grown for an oversized
+     * record shrinks back to its configured capacity, so segment
+     * boundaries never depend on an earlier stream. Whatever the
+     * buffer still holds is dropped, so flush first.
+     */
+    void
+    reset()
+    {
+        if (cap_ != baseCap_) {
+            buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+                baseCap_);
+            cap_ = baseCap_;
+        }
+        allocable_ = 0;
+        flushed_ = 0;
+        used_ = 0;
+    }
+
     /** Total bytes produced so far (streamed + resident). */
     std::uint64_t totalBytes() const { return flushed_ + used_; }
 
@@ -123,6 +144,8 @@ class OutputBuffer
 
     std::unique_ptr<std::uint8_t[]> buf_;
     std::size_t cap_;
+    /** The configured capacity (cap_ grows for an oversized record). */
+    std::size_t baseCap_;
     FlushFn flush_;
     std::uint64_t allocable_ = 0;
     std::uint64_t flushed_ = 0;

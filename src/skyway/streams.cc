@@ -215,20 +215,24 @@ SkywaySerializer::bindSink(ByteSink &out)
         return;
     if (curSink_)
         endStream(*curSink_);
-    ByteSink *sink = &out;
+    if (!outBuf_) {
+        // One output buffer serves every stream: it flushes into
+        // whatever chain the current stream bound.
+        outBuf_ = std::make_unique<OutputBuffer>(
+            bufferBytes_, [this](const std::uint8_t *data,
+                                 std::size_t len) { flush_(data, len); });
+    }
     wireValidator_ = makeWireValidator(ctx_, ctx_.heap().format());
     // One u32 frame per flushed segment; compaction (when on) rewrites
     // the segment before framing, and the validator audits the raw
     // bytes ahead of both.
-    outBuf_ = std::make_unique<OutputBuffer>(
-        bufferBytes_,
-        teeIntoValidator(
-            compactStage(
-                ctx_, ctx_.heap().format(),
-                framed([sink](const void *data, std::size_t len) {
-                    sink->write(data, len);
-                })),
-            wireValidator_.get()));
+    flush_ = teeIntoValidator(
+        compactStage(ctx_, ctx_.heap().format(),
+                     framed([this](const void *data, std::size_t len) {
+                         curSink_->write(data, len);
+                     })),
+        wireValidator_.get());
+    outBuf_->reset();
     sender_ = std::make_unique<SkywaySender>(ctx_, *outBuf_,
                                              ctx_.heap().format());
     curSink_ = &out;
@@ -259,7 +263,7 @@ SkywaySerializer::endStream(ByteSink &out)
     out.writeU32(0);
     doneStats_ += sender_->stats();
     sender_.reset();
-    outBuf_.reset();
+    flush_ = nullptr;
     wireValidator_.reset();
     curSink_ = nullptr;
 }

@@ -234,6 +234,10 @@ class SkywaySerializer : public Serializer
                               std::size_t chunk_bytes =
                                   defaultInputChunkBytes);
 
+    /** The output buffer's flush function holds `this`. */
+    SkywaySerializer(const SkywaySerializer &) = delete;
+    SkywaySerializer &operator=(const SkywaySerializer &) = delete;
+
     std::string name() const override { return "skyway"; }
 
     void writeObject(Address root, ByteSink &out) override;
@@ -267,6 +271,11 @@ class SkywaySerializer : public Serializer
     ByteSink *curSink_ = nullptr;
     /** Debug-mode wire validator; see SkywayObjectOutputStream. */
     std::unique_ptr<sanitize::WireValidator> wireValidator_;
+    /** The current stream's flush chain: validator tee, compaction,
+     *  framing into curSink_. */
+    OutputBuffer::FlushFn flush_;
+    /** Shared by every stream this serializer writes (reset between
+     *  them). */
     std::unique_ptr<OutputBuffer> outBuf_;
     std::unique_ptr<SkywaySender> sender_;
     SkywaySendStats doneStats_;

@@ -238,12 +238,26 @@ expandCompactSegment(const std::uint8_t *data, std::size_t len,
             hooks.onMarker(true, c.varU64());
             break;
         case ctRawRecord: {
-            std::uint64_t n = c.varU64();
-            const std::uint8_t *src = c.bytes(
-                static_cast<std::size_t>(n));
-            std::uint8_t *dst = hooks.place(
-                static_cast<std::size_t>(n));
-            std::memcpy(dst, src, static_cast<std::size_t>(n));
+            auto n = static_cast<std::size_t>(c.varU64());
+            const std::uint8_t *src = c.bytes(n);
+            panicIf(n < wire_fmt.headerBytes(),
+                    "compact raw record shorter than a header");
+            Word tid = wordAt(src + offsetKlass);
+            panicIf(tid > 0x7fffffffull,
+                    "compact raw record type id out of range");
+            Klass *k = hooks.klassFor(static_cast<std::int32_t>(tid));
+            panicIf(!k, "compact raw record with an unknown klass");
+            panicIf(k->isArray() && n < wire_fmt.arrayHeaderBytes(),
+                    "compact raw array shorter than its header");
+            panicIf(k->isArray() &&
+                        wordAt(src + wire_fmt.arrayLengthOffset()) >
+                            maxPlausibleArrayLength,
+                    "implausible compact raw array length");
+            panicIf(rawRecordSize(src, k, wire_fmt) != n,
+                    "compact raw record size does not match its klass");
+            std::uint8_t *dst = hooks.place(n, k);
+            std::memcpy(dst, src, n);
+            putWord(dst + offsetKlass, reinterpret_cast<Word>(k));
             break;
         }
         case ctInstance: {
@@ -259,10 +273,10 @@ expandCompactSegment(const std::uint8_t *data, std::size_t len,
                 static_cast<std::ptrdiff_t>(wire_fmt.headerBytes());
             std::size_t size = static_cast<std::size_t>(
                 static_cast<std::ptrdiff_t>(k->instanceBytes()) - delta);
-            std::uint8_t *dst = hooks.place(size);
+            std::uint8_t *dst = hooks.place(size, k);
             std::memset(dst, 0, size);
             putWord(dst + offsetMark, m);
-            putWord(dst + offsetKlass, static_cast<Word>(tid));
+            putWord(dst + offsetKlass, reinterpret_cast<Word>(k));
             for (const FieldDesc &f : k->fields()) {
                 std::size_t woff = static_cast<std::size_t>(
                     static_cast<std::ptrdiff_t>(f.offset) - delta);
@@ -294,10 +308,10 @@ expandCompactSegment(const std::uint8_t *data, std::size_t len,
             std::size_t size = wordAlign(
                 wire_fmt.arrayHeaderBytes() +
                 static_cast<std::size_t>(n) * k->elemSize());
-            std::uint8_t *dst = hooks.place(size);
+            std::uint8_t *dst = hooks.place(size, k);
             std::memset(dst, 0, size);
             putWord(dst + offsetMark, m);
-            putWord(dst + offsetKlass, static_cast<Word>(tid));
+            putWord(dst + offsetKlass, reinterpret_cast<Word>(k));
             putWord(dst + wire_fmt.arrayLengthOffset(),
                     static_cast<Word>(n));
             std::uint8_t *payload = dst + wire_fmt.arrayHeaderBytes();

@@ -10,8 +10,9 @@
  * tagged compact items (no padding, varint-narrowed in-segment
  * references, optional zero-run RLE for dense primitive arrays);
  * everything else travels verbatim inside the same segment. The
- * receiver re-expands compact items during its existing linear scan,
- * writing full heap-format records into the same chunks — heap
+ * receiver re-expands compact items at commit, writing full
+ * heap-format records into the same chunks with the klass pointer
+ * already in each klass word, as the raw commit leaves them — heap
  * semantics, baddr relocation, and everything downstream of the
  * expander are unchanged.
  *
@@ -146,25 +147,30 @@ struct WirePolicy
 };
 
 /**
- * Receiver hooks for expandCompactSegment. `place(bytes)` must return
- * heap-chunk storage for one full-format record (the expander writes
- * header + payload; callers do root and stats bookkeeping). `onMarker`
- * is invoked for top marks and backward references in stream order
- * and takes their 8 or 16 stream bytes (the receiver: a filler).
+ * Receiver hooks for expandCompactSegment. `place(bytes, klass)` must
+ * return heap-chunk storage for one full-format record of that klass
+ * (the expander writes header + payload; callers do root, chunk and
+ * stats bookkeeping). `onMarker` is invoked for top marks and backward
+ * references in stream order and takes their 8 or 16 stream bytes
+ * (the receiver: a filler).
  */
 struct ExpandHooks
 {
     std::function<Klass *(std::int32_t tid)> klassFor;
     std::function<void(bool is_back_ref, Word slot)> onMarker;
-    std::function<std::uint8_t *(std::size_t bytes)> place;
+    std::function<std::uint8_t *(std::size_t bytes, const Klass *k)>
+        place;
 };
 
 /**
  * Re-expand one compact segment starting at @p data into full
- * heap-format records via @p hooks, producing exactly the byte
- * stream the raw sender would have flushed. Returns the consumed
- * wire bytes (preamble + payload). Panics on malformed input — run
- * the WireValidator first (SKYWAY_WIRE_CHECK) to veto instead.
+ * heap-format records via @p hooks, producing the byte stream the raw
+ * sender would have flushed except that each klass word holds the
+ * klass pointer `klassFor` returned, not the type id: expanded
+ * records leave in the same local format the raw commit leaves them
+ * in. A raw item must be exactly its klass's record size. Returns the
+ * consumed wire bytes (preamble + payload). Panics on malformed input
+ * — run the WireValidator first (SKYWAY_WIRE_CHECK) to veto instead.
  */
 std::size_t expandCompactSegment(const std::uint8_t *data,
                                  std::size_t len,

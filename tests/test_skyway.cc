@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "obs/metrics.hh"
+#include "sanitize/graphcheck.hh"
 #include "skyway/streams.hh"
 #include "testclasses.hh"
 
@@ -29,6 +31,27 @@ using testing_support::makeMixed;
 using testing_support::makePoint;
 using testing_support::makeSharedPair;
 using testing_support::makeTestCatalog;
+
+/** True when any card over the old-generation objects reachable from
+ *  @p root (an old object), and the fillers between them, is dirty. */
+bool
+anyCardDirtyUnder(const ManagedHeap &h, Address root)
+{
+    Address lo = root;
+    Address hi = root;
+    testing_support::forEachReachable(h, root, [&](Address a) {
+        if (h.inOld(a)) {
+            lo = std::min(lo, a);
+            hi = std::max(hi, a + h.objectSize(a));
+        }
+    });
+    std::size_t card = h.config().cardBytes;
+    for (std::size_t i = (lo - h.oldBase()) / card;
+         i <= (hi - 1 - h.oldBase()) / card; ++i)
+        if (h.cardIsDirty(i))
+            return true;
+    return false;
+}
 
 class SkywayTest : public ::testing::Test
 {
@@ -297,6 +320,60 @@ TEST_F(SkywayTest, CardTableCoversReceivedToYoungPointers)
     EXPECT_EQ((reflect::getField<std::int32_t>(nodeB_.heap(), right,
                                                "x")),
               77);
+}
+
+TEST_F(SkywayTest, ReceivedReferencesLeaveCardsClean)
+{
+    // Intra-buffer references are old to old: with no field update
+    // registered, finalize dirties no card, and the collectors still
+    // keep every received object and reference intact.
+    LocalRoots roots(nodeA_.heap());
+    Address head = makeList(nodeA_, roots, 3000);
+    testing_support::forEachReachable(
+        nodeA_.heap(), head,
+        [this](Address a) { nodeA_.heap().identityHash(a); });
+    Address q = transfer(head, 4 << 10, 8 << 10);
+    EXPECT_GT(keep_.back()->chunkCount(), 1u);
+    EXPECT_GT(keep_.back()->stats().refsAbsolutized, 0u);
+    EXPECT_FALSE(anyCardDirtyUnder(nodeB_.heap(), q));
+
+    for (int i = 0; i < 64; ++i)
+        makePoint(nodeB_, i, i); // young garbage for the scavenge
+    nodeB_.gc().scavenge();
+    nodeB_.gc().fullGc();
+    sanitize::GraphCheckResult r =
+        sanitize::checkHeapGraphs(nodeA_.heap(), head, nodeB_.heap(), q);
+    EXPECT_TRUE(r.equal) << r.divergence;
+    EXPECT_EQ(r.objectsCompared, 3000u);
+}
+
+TEST_F(SkywayTest, FieldUpdateStoringYoungDirtiesCards)
+{
+    // A registered update may install an old-to-young pointer, even
+    // without the write barrier: finalize dirties the buffer's cards,
+    // so a scavenge finds the young target and keeps it.
+    nodeB_.skyway().updates().registerUpdate(
+        "test.Pair", "right",
+        [this](ManagedHeap &h, Address obj, const FieldDesc &f) {
+            h.store<Address>(obj, f.offset, makePoint(nodeB_, 77, 88));
+        });
+    LocalRoots roots(nodeA_.heap());
+    Address pair = makeSharedPair(nodeA_, roots);
+    Address q = transfer(pair);
+    ManagedHeap &hb = nodeB_.heap();
+    Klass *pair_k = nodeB_.klasses().load("test.Pair");
+    const FieldDesc &right = pair_k->requireField("right");
+    ASSERT_TRUE(hb.inYoung(field::getRef(hb, q, right)));
+    EXPECT_TRUE(anyCardDirtyUnder(hb, q));
+    EXPECT_TRUE(hb.cardIsDirty((q - hb.oldBase()) / hb.config().cardBytes));
+
+    nodeB_.gc().scavenge();
+    Address moved = field::getRef(hb, q, right);
+    ASSERT_NE(moved, nullAddr);
+    EXPECT_FALSE(hb.inEden(moved));
+    EXPECT_EQ((reflect::getField<std::int32_t>(hb, moved, "x")), 77);
+    Address left = field::getRef(hb, q, pair_k->requireField("left"));
+    EXPECT_EQ((reflect::getField<std::int32_t>(hb, left, "x")), 5);
 }
 
 TEST_F(SkywayTest, FreedBufferIsCollected)

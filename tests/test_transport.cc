@@ -30,6 +30,8 @@
 #include "net/frame.hh"
 #include "net/tcp_transport.hh"
 #include "obs/metrics.hh"
+#include "sanitize/graphcheck.hh"
+#include "skyway/baddr.hh"
 #include "skyway/parallel.hh"
 #include "skyway/streams.hh"
 #include "typereg/registry.hh"
@@ -885,6 +887,257 @@ TEST_F(TcpSkywayTest, ParallelFanOutOverSockets)
     }
     EXPECT_EQ(received, tops.size());
 }
+
+/**
+ * Landing over each transport: the transport writes every segment
+ * straight into a prefaulted input-buffer reservation (a modeled DMA,
+ * or recv() on tcp), and a later reservation or commit must never
+ * change a byte committed before it.
+ */
+class SkywayLandingTest : public ::testing::TestWithParam<TransportKind>
+{
+  protected:
+    /** One segment as shipped, and the raw stream bytes it carries. */
+    struct Segment
+    {
+        std::vector<std::uint8_t> wire;
+        std::vector<std::uint8_t> raw;
+    };
+
+    static constexpr int tag = 61;
+
+    SkywayLandingTest()
+        : catalog_(makeTestCatalog()),
+          net_(3, gigabitEthernet(), GetParam()),
+          driver_(catalog_, net_, 0, 0),
+          nodeA_(catalog_, net_, 1, 0),
+          nodeB_(catalog_, net_, 2, 0)
+    {
+        nodeA_.skyway().setWireCompactMode(WireCompactMode::Off);
+        nodeB_.skyway().debug().checkReceivedGraph = true;
+    }
+
+    /**
+     * The raw segments A flushes for @p roots through a buffer of
+     * @p buffer_bytes; every other one is re-encoded compact when
+     * @p mix_compact (segments encode independently).
+     */
+    std::vector<Segment>
+    segmentsOf(const std::vector<Address> &roots,
+               std::size_t buffer_bytes, bool mix_compact = false)
+    {
+        nodeA_.skyway().shuffleStart();
+        std::vector<Segment> segs;
+        {
+            SkywayObjectOutputStream out(
+                nodeA_.skyway(),
+                [&segs](const std::uint8_t *d, std::size_t n) {
+                    segs.push_back({{d, d + n}, {d, d + n}});
+                },
+                buffer_bytes);
+            for (Address r : roots)
+                out.writeObject(r);
+            out.flush();
+        }
+        if (mix_compact) {
+            nodeA_.skyway().setWireCompactMode(WireCompactMode::Force);
+            CompactEncoder enc(nodeA_.skyway(), nodeA_.heap().format());
+            for (std::size_t i = 1; i < segs.size(); i += 2)
+                enc.encodeSegment(
+                    segs[i].raw.data(), segs[i].raw.size(),
+                    [&](const std::uint8_t *d, std::size_t n) {
+                        segs[i].wire.assign(d, d + n);
+                    });
+            nodeA_.skyway().setWireCompactMode(WireCompactMode::Off);
+        }
+        return segs;
+    }
+
+    /**
+     * Expect the committed bytes at @p at to be @p raw with every
+     * record's type id turned into B's klass pointer and every marker
+     * into a filler; returns whether a record has reference slots.
+     */
+    bool
+    expectCommittedForm(const std::uint8_t *at,
+                        const std::vector<std::uint8_t> &raw)
+    {
+        ManagedHeap &hb = nodeB_.heap();
+        bool refs = false;
+        std::size_t off = 0;
+        while (off < raw.size()) {
+            auto a = reinterpret_cast<Address>(at + off);
+            Word first;
+            std::memcpy(&first, raw.data() + off, wordSize);
+            if (marker::isMarker(first)) {
+                EXPECT_TRUE(ManagedHeap::isFiller(a));
+                off += ManagedHeap::fillerSize(a);
+                continue;
+            }
+            Word tid;
+            std::memcpy(&tid, raw.data() + off + offsetKlass, wordSize);
+            Klass *k = nodeB_.resolver().klassForId(
+                static_cast<std::int32_t>(tid));
+            EXPECT_EQ(hb.klassOf(a), k) << "klass word at offset " << off;
+            if (hb.klassOf(a) != k)
+                return refs;
+            refs |= k->isArray() ? k->elemType() == FieldType::Ref
+                                 : !k->refOffsets().empty();
+            std::size_t size = hb.objectSize(a);
+            EXPECT_EQ(std::memcmp(at + off, raw.data() + off, wordSize),
+                      0);
+            EXPECT_EQ(std::memcmp(at + off + offsetKlass + wordSize,
+                                  raw.data() + off + offsetKlass +
+                                      wordSize,
+                                  size - offsetKlass - wordSize),
+                      0);
+            off += size;
+        }
+        EXPECT_EQ(off, raw.size());
+        return refs;
+    }
+
+    /**
+     * Send @p segs from A to B and land each through reserveChunk /
+     * commitChunk. After every commit, each earlier segment's
+     * committed bytes are unchanged, and the new one holds klass
+     * pointers. Returns where each segment's records landed, and
+     * whether they hold references.
+     */
+    std::vector<std::pair<const std::uint8_t *, bool>>
+    land(InputBuffer &buf, const std::vector<Segment> &segs)
+    {
+        for (const Segment &s : segs)
+            net_.send(nodeA_.id(), nodeB_.id(), tag, s.wire);
+        std::vector<std::pair<const std::uint8_t *, bool>> at;
+        std::vector<std::vector<std::uint8_t>> committed;
+        for (const Segment &s : segs) {
+            std::uint8_t *reserved = nullptr;
+            std::ptrdiff_t n;
+            while ((n = net_.pollTagInto(
+                        nodeB_.id(), tag, [&](std::size_t len) {
+                            return reserved = buf.reserveChunk(len);
+                        })) < 0) {
+            }
+            EXPECT_EQ(static_cast<std::size_t>(n), s.wire.size());
+            buf.commitChunk(static_cast<std::size_t>(n));
+            for (std::size_t i = 0; i < committed.size(); ++i)
+                EXPECT_EQ(std::memcmp(at[i].first, committed[i].data(),
+                                      committed[i].size()),
+                          0)
+                    << "segment " << i << " changed after a later commit";
+            bool refs = expectCommittedForm(reserved, s.raw);
+            at.emplace_back(reserved, refs);
+            committed.emplace_back(reserved, reserved + s.raw.size());
+        }
+        return at;
+    }
+
+    /** Cache identity hashes on every source object, so the graph
+     *  check compares them too. */
+    void
+    hashAll(const std::vector<Address> &roots)
+    {
+        for (Address r : roots)
+            testing_support::forEachReachable(
+                nodeA_.heap(), r,
+                [this](Address a) { nodeA_.heap().identityHash(a); });
+    }
+
+    void
+    expectGraphs(const std::vector<Address> &src, const InputBuffer &buf)
+    {
+        ASSERT_EQ(buf.roots().size(), src.size());
+        for (std::size_t i = 0; i < src.size(); ++i) {
+            sanitize::GraphCheckResult r = sanitize::checkHeapGraphs(
+                nodeA_.heap(), src[i], nodeB_.heap(), buf.roots()[i]);
+            EXPECT_TRUE(r.equal) << "root " << i << ": " << r.divergence;
+        }
+    }
+
+    ClassCatalog catalog_;
+    ClusterNetwork net_;
+    Jvm driver_;
+    Jvm nodeA_;
+    Jvm nodeB_;
+};
+
+TEST_P(SkywayLandingTest, CommittedBytesSurviveLaterReservations)
+{
+    LocalRoots roots(nodeA_.heap());
+    makeList(nodeA_, roots, 400);
+    std::size_t rm = roots.push(makeMixed(nodeA_, roots, "landing"));
+    std::vector<Address> src{roots.get(0), roots.get(rm)};
+    hashAll(src);
+    // 1000-byte segments: segment 0 ends mid-page, and segment 1 is
+    // reserved (and prefaulted) right behind it in the same chunk.
+    std::vector<Segment> segs = segmentsOf(src, 1000);
+    ASSERT_GT(segs.size(), 3u);
+    InputBuffer buf(nodeB_.skyway(), 64 << 10);
+    auto at = land(buf, segs);
+    auto end0 = reinterpret_cast<std::uintptr_t>(at[0].first) +
+                segs[0].raw.size();
+    EXPECT_NE(end0 % 4096, 0u);
+    EXPECT_EQ(at[1].first, at[0].first + segs[0].raw.size());
+    buf.finalize();
+    EXPECT_EQ(buf.stats().zeroCopyBytes, buf.stats().bytesReceived +
+                                             buf.roots().size() * 8);
+    expectGraphs(src, buf);
+}
+
+TEST_P(SkywayLandingTest, RawAndCompactSegmentsShareAChunk)
+{
+    LocalRoots roots(nodeA_.heap());
+    makeList(nodeA_, roots, 300);
+    std::size_t rm = roots.push(makeMixed(nodeA_, roots, "mixed chunk"));
+    std::vector<Address> src{roots.get(0), roots.get(rm)};
+    hashAll(src);
+    std::vector<Segment> segs = segmentsOf(src, 1000, true);
+    ASSERT_GT(segs.size(), 3u);
+    ASSERT_LT(segs[1].wire.size(), segs[1].raw.size())
+        << "segment 1 travels compact";
+    // One chunk takes every segment, so each expansion lands right
+    // where its reservation began.
+    InputBuffer buf(nodeB_.skyway(), 64 << 10);
+    land(buf, segs);
+    EXPECT_EQ(buf.chunkCount(), 1u);
+    EXPECT_GT(buf.stats().zeroCopyBytes, 0u);
+    EXPECT_GT(buf.stats().expandedBytes, 0u);
+    buf.finalize();
+    expectGraphs(src, buf);
+}
+
+TEST_P(SkywayLandingTest, ReferenceFreeChunkBesideChunkWithReferences)
+{
+    LocalRoots roots(nodeA_.heap());
+    for (int i = 0; i < 100; ++i)
+        roots.push(makePoint(nodeA_, i, -i));
+    std::size_t rl = roots.size();
+    makeList(nodeA_, roots, 200);
+    std::vector<Address> src;
+    for (std::size_t i = 0; i <= rl; ++i)
+        src.push_back(roots.get(i));
+    hashAll(src);
+    // Chunks as large as segments: no segment leaves room for the
+    // next, so each lands in its own chunk; the first holds Points only
+    // (no reference slots) and the last holds list nodes.
+    std::vector<Segment> segs = segmentsOf(src, 2048);
+    InputBuffer buf(nodeB_.skyway(), 2048);
+    auto at = land(buf, segs);
+    EXPECT_EQ(buf.chunkCount(), segs.size());
+    EXPECT_FALSE(at.front().second);
+    EXPECT_TRUE(at.back().second);
+    buf.finalize();
+    EXPECT_GT(buf.stats().refsAbsolutized, 0u);
+    expectGraphs(src, buf);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, SkywayLandingTest,
+    ::testing::Values(TransportKind::Model, TransportKind::Tcp),
+    [](const ::testing::TestParamInfo<TransportKind> &p) {
+        return std::string(transportKindName(p.param));
+    });
 
 TEST_F(TcpSkywayTest, TypeRegistryLookupOverSockets)
 {

@@ -7,6 +7,10 @@
 #ifndef SKYWAY_TESTS_TESTCLASSES_HH
 #define SKYWAY_TESTS_TESTCLASSES_HH
 
+#include <unordered_set>
+#include <vector>
+
+#include "heap/objectops.hh"
 #include "skyway/jvm.hh"
 
 namespace skyway
@@ -67,6 +71,27 @@ makeTestCatalog()
         },
     });
     return cat;
+}
+
+/** Call @p visit once for every object reachable from @p root. */
+template <typename Visit>
+void
+forEachReachable(const ManagedHeap &h, Address root, Visit &&visit)
+{
+    if (root == nullAddr)
+        return;
+    std::vector<Address> todo{root};
+    std::unordered_set<Address> seen{root};
+    while (!todo.empty()) {
+        Address a = todo.back();
+        todo.pop_back();
+        visit(a);
+        forEachRefSlot(h, a, [&](std::size_t off) {
+            Address t = h.loadRef(a, off);
+            if (t != nullAddr && seen.insert(t).second)
+                todo.push_back(t);
+        });
+    }
 }
 
 /** Build a test.Point rooted nowhere (caller roots if needed). */

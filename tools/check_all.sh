@@ -2,6 +2,7 @@
 # The full local gate: tier-1 tests, the lint label, the forced-
 # compaction pass (docs/WIRE_FORMAT.md), the suite again under a
 # Release build (so results that depend on the build type show up),
+# the receiver tests under AddressSanitizer (raw and forced-compact),
 # and the SKYWAY_ANALYZE build (docs/STATIC_ANALYSIS.md §5), in one
 # command.
 #
@@ -15,30 +16,44 @@ set -eu
 root=$(cd "${1:-$(dirname "$0")/..}" && pwd)
 jobs=$(nproc 2>/dev/null || echo 2)
 
-echo "== [1/6] configure + build (default flags) =="
+echo "== [1/7] configure + build (default flags) =="
 cmake -B "$root/build" -S "$root"
 cmake --build "$root/build" -j "$jobs"
 
-echo "== [2/6] tier-1 test suite =="
+echo "== [2/7] tier-1 test suite =="
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [3/6] lint label =="
+echo "== [3/7] lint label =="
 ctest --test-dir "$root/build" -L lint --output-on-failure
 
-echo "== [4/6] forced-compaction suite (SKYWAY_WIRE_COMPACT=force) =="
+echo "== [4/7] forced-compaction suite (SKYWAY_WIRE_COMPACT=force) =="
 # Every eligible record takes the compact encode/expand path, with the
 # SkywaySan wire validator vetting both sides (docs/WIRE_FORMAT.md).
 SKYWAY_WIRE_COMPACT=force SKYWAY_WIRE_CHECK=1 \
     ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [5/6] tier-1 test suite, Release build (-O3, no debug info) =="
+echo "== [5/7] tier-1 test suite, Release build (-O3, no debug info) =="
 # The default tree is RelWithDebInfo (-O2); timing-sensitive and
 # optimizer-sensitive results can differ at -O3.
 cmake -B "$root/build-release" -S "$root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$root/build-release" -j "$jobs"
 ctest --test-dir "$root/build-release" --output-on-failure -j "$jobs"
 
-echo "== [6/6] static-analysis build (SKYWAY_ANALYZE=ON) =="
+echo "== [6/7] receiver tests, AddressSanitizer build =="
+# The receiver writes into chunk storage in place (klass words at
+# commit, madvise over each reservation, compact expansion): run the
+# tests that land streams under ASan, on both encodings
+# (docs/SANITIZER.md).
+receiver_tests='Skyway|WireCompact|Failure|Sanitize|Transport'
+cmake -B "$root/build-asan" -S "$root" -DSKYWAY_SANITIZE=address
+cmake --build "$root/build-asan" -j "$jobs"
+ctest --test-dir "$root/build-asan" -R "$receiver_tests" \
+    --output-on-failure -j "$jobs"
+SKYWAY_WIRE_COMPACT=force \
+    ctest --test-dir "$root/build-asan" -R "$receiver_tests" \
+    --output-on-failure -j "$jobs"
+
+echo "== [7/7] static-analysis build (SKYWAY_ANALYZE=ON) =="
 if command -v clang++ >/dev/null 2>&1; then
     CXX=clang++ cmake -B "$root/build-analyze" -S "$root" \
         -DSKYWAY_ANALYZE=ON

@@ -310,13 +310,15 @@ FlinkShuffle::read(int dst)
                    ? std::make_unique<RecordBatch>()
                    : std::make_unique<RecordBatch>(jvm.heap());
 
+    // One receive vector for every remote partition: each fetch
+    // reuses its capacity instead of allocating a fresh one.
+    std::vector<std::uint8_t> fetched;
     for (int src = 0; src < n; ++src) {
         if (counts_[src][dst] == 0)
             continue;
         SimDisk &src_disk = cluster_.worker(src).disk();
         const auto &file = src_disk.file(fileName(src, dst));
         b.readIoNs += src_disk.chargeRead(file.size());
-        std::vector<std::uint8_t> fetched;
         const std::vector<std::uint8_t> *bytes = &file;
         if (src != dst) {
             b.readIoNs +=
@@ -326,11 +328,9 @@ FlinkShuffle::read(int dst)
             // socket on the tcp transport).
             cluster_.net().send(src + 1, dst + 1, flinkmsg::shuffle,
                                 file);
-            NetMessage msg;
             while (!cluster_.net().pollTag(dst + 1, flinkmsg::shuffle,
-                                           msg)) {
+                                           fetched)) {
             }
-            fetched = std::move(msg.payload);
             bytes = &fetched;
         } else {
             b.bytesLocal += file.size();

@@ -183,6 +183,9 @@ ShuffleRound::read(int dst)
                    : std::make_unique<RecordBatch>(
                          cluster_.worker(dst).heap());
 
+    // One receive vector for every remote partition: each fetch
+    // reuses its capacity instead of allocating a fresh one.
+    std::vector<std::uint8_t> fetched;
     for (int src = 0; src < n; ++src) {
         if (counts_[src][dst] == 0)
             continue;
@@ -192,7 +195,6 @@ ShuffleRound::read(int dst)
         // Fetch: local partitions cost a disk read; remote ones add
         // the wire (network time folds into read I/O, Figure 3).
         b.readIoNs += src_disk.chargeRead(file.size());
-        std::vector<std::uint8_t> fetched;
         const std::vector<std::uint8_t> *bytes = &file;
         if (src != dst) {
             b.readIoNs +=
@@ -203,11 +205,9 @@ ShuffleRound::read(int dst)
             // actual socket on the tcp transport).
             cluster_.net().send(src + 1, dst + 1, sparkmsg::shuffle,
                                 file);
-            NetMessage msg;
             while (!cluster_.net().pollTag(dst + 1, sparkmsg::shuffle,
-                                           msg)) {
+                                           fetched)) {
             }
-            fetched = std::move(msg.payload);
             bytes = &fetched;
         } else {
             b.bytesLocal += file.size();
@@ -240,12 +240,13 @@ ClosureBroadcast::ClosureBroadcast(SparkCluster &cluster, Address root)
         b.bytesRemote += bytes_;
         // Each copy of the closure crosses the fabric for real.
         cluster.net().send(0, w + 1, sparkmsg::closure, sink.bytes());
-        NetMessage msg;
-        while (!cluster.net().pollTag(w + 1, sparkmsg::closure, msg)) {
+        std::vector<std::uint8_t> payload;
+        while (!cluster.net().pollTag(w + 1, sparkmsg::closure,
+                                      payload)) {
         }
 
         JavaSerializer des(SdEnv{jvm.heap(), jvm.klasses()});
-        ByteSource src(msg.payload);
+        ByteSource src(payload);
         auto roots = std::make_unique<LocalRoots>(jvm.heap());
         {
             ScopedTimer timer(b.deserNs);
@@ -314,11 +315,11 @@ CollectAction::collect()
         // Task results travel worker -> driver over the fabric.
         cluster_.net().send(w + 1, 0, sparkmsg::collect,
                             sink.takeBytes());
-        NetMessage msg;
-        while (!cluster_.net().pollTag(0, sparkmsg::collect, msg)) {
+        std::vector<std::uint8_t> payload;
+        while (!cluster_.net().pollTag(0, sparkmsg::collect, payload)) {
         }
 
-        ByteSource in(msg.payload);
+        ByteSource in(payload);
         for (std::size_t i = 0; i < srcRoots_[w]->size(); ++i)
             out->push(des.readObject(in));
         srcRoots_[w]->clear();

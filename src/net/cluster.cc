@@ -80,18 +80,6 @@ ClusterNetwork::send(NodeId src, NodeId dst, int tag,
     transport_->send(src, dst, tag, std::move(payload));
 }
 
-bool
-ClusterNetwork::poll(NodeId dst, NetMessage &out)
-{
-    return transport_->poll(dst, out);
-}
-
-bool
-ClusterNetwork::pollTag(NodeId dst, int tag, NetMessage &out)
-{
-    return transport_->pollTag(dst, tag, out);
-}
-
 std::ptrdiff_t
 ClusterNetwork::pollTagInto(NodeId dst, int tag,
                             const ReserveFn &reserve)

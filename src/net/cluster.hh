@@ -1,8 +1,10 @@
 /**
  * @file
  * The cluster fabric: a set of numbered nodes exchanging byte-payload
- * messages over reliable in-order channels. How the bytes move is a
- * pluggable Transport (net/transport.hh) — in-process mailboxes on
+ * messages over reliable in-order channels. A message is sent with
+ * send() and received with one probe, pollTagInto(), into storage
+ * the receiver posts (pollTag() posts a vector). How the bytes move
+ * is a pluggable Transport (net/transport.hh) — in-process mailboxes on
  * the model transport, real loopback TCP sockets on the tcp
  * transport. Either way the *accounting* lives here: wire cost is
  * charged to per-node simulated clocks through the NetworkCostModel,
@@ -57,24 +59,13 @@ class ClusterNetwork
               std::vector<std::uint8_t> payload);
 
     /**
-     * Dequeue the next message addressed to @p dst (any source/tag);
-     * returns false when nothing has arrived yet.
-     */
-    bool poll(NodeId dst, NetMessage &out);
-
-    /**
-     * Dequeue the next message for @p dst with tag @p tag, skipping
-     * (and retaining) others. False when none pending.
-     */
-    bool pollTag(NodeId dst, int tag, NetMessage &out);
-
-    /**
-     * Like pollTag, but delivers the payload *into caller-posted
-     * storage*: the transport asks @p reserve for a destination of
-     * the payload's size and moves the bytes straight there — a
-     * modeled NIC DMA on the model transport, a literal recv() into
-     * the posted buffer on the tcp transport. The receiver-side
-     * staging copy is gone either way.
+     * The receive probe: dequeues the next message for @p dst with
+     * tag @p tag, skipping (and retaining) others, and delivers its
+     * payload *into caller-posted storage*: the transport asks
+     * @p reserve for a destination of the payload's size and moves
+     * the bytes straight there — a modeled NIC DMA on the model
+     * transport, a literal recv() into the posted buffer on the tcp
+     * transport. The receiver-side staging copy is gone either way.
      *
      * Returns the payload size, 0 for an empty (end-of-stream)
      * payload — @p reserve is not called — or -1 when no message with
@@ -82,6 +73,24 @@ class ClusterNetwork
      */
     std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                const ReserveFn &reserve);
+
+    /**
+     * pollTagInto with @p payload as the posted storage: sized to the
+     * message (emptied for an end-of-stream marker). A caller that
+     * keeps one vector across messages reuses its capacity. False
+     * when none is pending.
+     */
+    bool
+    pollTag(NodeId dst, int tag, std::vector<std::uint8_t> &payload)
+    {
+        std::ptrdiff_t n = pollTagInto(dst, tag, [&](std::size_t len) {
+            payload.resize(len);
+            return payload.data();
+        });
+        if (n == 0)
+            payload.clear();
+        return n >= 0;
+    }
 
     /** Register @p handler as @p node's synchronous request daemon. */
     void registerHandler(NodeId node, RequestHandler handler);

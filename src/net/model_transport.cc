@@ -1,5 +1,6 @@
 #include "net/model_transport.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/logging.hh"
@@ -17,35 +18,7 @@ ModelTransport::send(NodeId src, NodeId dst, int tag,
                      std::vector<std::uint8_t> payload)
 {
     MutexLock lock(mutex_);
-    mailboxes_[dst].push_back(NetMessage{src, dst, tag,
-                                         std::move(payload)});
-}
-
-bool
-ModelTransport::poll(NodeId dst, NetMessage &out)
-{
-    MutexLock lock(mutex_);
-    auto &box = mailboxes_[dst];
-    if (box.empty())
-        return false;
-    out = std::move(box.front());
-    box.pop_front();
-    return true;
-}
-
-bool
-ModelTransport::pollTag(NodeId dst, int tag, NetMessage &out)
-{
-    MutexLock lock(mutex_);
-    auto &box = mailboxes_[dst];
-    for (auto it = box.begin(); it != box.end(); ++it) {
-        if (it->tag == tag) {
-            out = std::move(*it);
-            box.erase(it);
-            return true;
-        }
-    }
-    return false;
+    mailboxes_[dst].push_back(NetMessage{src, tag, std::move(payload)});
 }
 
 std::ptrdiff_t
@@ -53,11 +26,22 @@ ModelTransport::pollTagInto(NodeId dst, int tag,
                             const ReserveFn &reserve)
 {
     NetMessage msg;
-    // Dequeue under the mailbox lock, then deliver outside it: the
-    // reserve callback may allocate heap chunks and the copy-out may
-    // be large; neither should stall concurrent senders.
-    if (!pollTag(dst, tag, msg))
-        return -1;
+    {
+        // Dequeue under the mailbox lock, then deliver outside it:
+        // the reserve callback may allocate heap chunks and the
+        // copy-out may be large; neither should stall concurrent
+        // senders.
+        MutexLock lock(mutex_);
+        auto &box = mailboxes_[dst];
+        auto it = std::find_if(box.begin(), box.end(),
+                               [tag](const NetMessage &m) {
+                                   return m.tag == tag;
+                               });
+        if (it == box.end())
+            return -1;
+        msg = std::move(*it);
+        box.erase(it);
+    }
     if (msg.payload.empty())
         return 0;
     std::uint8_t *to = reserve(msg.payload.size());

@@ -2,9 +2,9 @@
  * @file
  * The in-process transport: per-node mailboxes behind one mutex.
  * Messages "arrive" the moment send() returns; wire cost exists only
- * on the simulated clocks ClusterNetwork charges. This is the exact
- * fabric the repository grew up on, extracted unchanged from
- * ClusterNetwork when the transport became pluggable.
+ * on the simulated clocks ClusterNetwork charges. pollTagInto
+ * finds and unlinks a message under the lock and copies its payload
+ * into the posted storage outside it (the modeled NIC DMA).
  */
 
 #ifndef SKYWAY_NET_MODEL_TRANSPORT_HH
@@ -27,8 +27,6 @@ class ModelTransport final : public Transport
 
     void send(NodeId src, NodeId dst, int tag,
               std::vector<std::uint8_t> payload) override;
-    bool poll(NodeId dst, NetMessage &out) override;
-    bool pollTag(NodeId dst, int tag, NetMessage &out) override;
     std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                const ReserveFn &reserve) override;
     void registerHandler(NodeId node, RequestHandler handler) override;

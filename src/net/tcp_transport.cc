@@ -618,10 +618,10 @@ TcpTransport::send(NodeId src, NodeId dst, int tag,
     Node &n = *nodes_[src];
     if (src == dst) {
         // Self-delivery never touches a socket (loopback-to-self is
-        // not remote traffic on any transport).
+        // not remote traffic on any transport): the payload joins the
+        // owned-payload queue behind whatever was staged before it.
         MutexLock lock(n.recvMutex);
-        n.selfBox.push_back(NetMessage{src, dst, tag,
-                                       std::move(payload)});
+        n.staged.push_back(NetMessage{src, tag, std::move(payload)});
         ++n.recvVersion;
         return;
     }
@@ -676,7 +676,7 @@ TcpTransport::stageParked(NodeId node, Node &n)
     // occupy this node's memory, so total staging is bounded by the
     // senders' credit windows.
     for (Parked &p : n.parked) {
-        NetMessage m{p.src, node, p.tag, {}};
+        NetMessage m{p.src, p.tag, {}};
         if (p.len) {
             m.payload.resize(p.len);
             recvParkedPayload(node, p.src, p.fd, m.payload.data(),
@@ -689,131 +689,26 @@ TcpTransport::stageParked(NodeId node, Node &n)
     ++n.recvVersion;
 }
 
-bool
-TcpTransport::poll(NodeId dst, NetMessage &out)
-{
-    Node &n = *nodes_[dst];
-    MutexLock lock(n.recvMutex);
-    if (!n.selfBox.empty()) {
-        out = std::move(n.selfBox.front());
-        n.selfBox.pop_front();
-        ++n.recvVersion;
-        return true;
-    }
-    if (!n.staged.empty()) {
-        out = std::move(n.staged.front());
-        n.staged.pop_front();
-        ++n.recvVersion;
-        if (!out.payload.empty())
-            grantCredit(dst, out.src, out.tag,
-                       static_cast<std::uint32_t>(out.payload.size()));
-        return true;
-    }
-    if (!n.parked.empty()) {
-        Parked p = n.parked.front();
-        n.parked.erase(n.parked.begin());
-        ++n.recvVersion;
-        out = NetMessage{p.src, dst, p.tag, {}};
-        if (p.len) {
-            out.payload.resize(p.len);
-            recvParkedPayload(dst, p.src, p.fd, out.payload.data(),
-                              p.len);
-        }
-        epollAdd(dst, packToken(FdKind::Pair, p.src, p.fd), p.fd);
-        if (p.len)
-            grantCredit(dst, p.src, p.tag, p.len);
-        return true;
-    }
-    return false;
-}
-
-bool
-TcpTransport::pollTag(NodeId dst, int tag, NetMessage &out)
-{
-    Node &n = *nodes_[dst];
-    MutexLock lock(n.recvMutex);
-    for (auto it = n.selfBox.begin(); it != n.selfBox.end(); ++it) {
-        if (it->tag == tag) {
-            out = std::move(*it);
-            n.selfBox.erase(it);
-            ++n.recvVersion;
-            n.lastMiss.erase(tag);
-            return true;
-        }
-    }
-    for (auto it = n.staged.begin(); it != n.staged.end(); ++it) {
-        if (it->tag != tag)
-            continue;
-        out = std::move(*it);
-        n.staged.erase(it);
-        ++n.recvVersion;
-        n.lastMiss.erase(tag);
-        if (!out.payload.empty())
-            grantCredit(dst, out.src, tag,
-                       static_cast<std::uint32_t>(out.payload.size()));
-        return true;
-    }
-    for (std::size_t i = 0; i < n.parked.size(); ++i) {
-        if (n.parked[i].tag != tag)
-            continue;
-        Parked p = n.parked[i];
-        n.parked.erase(n.parked.begin() + i);
-        ++n.recvVersion;
-        n.lastMiss.erase(tag);
-        out = NetMessage{p.src, dst, p.tag, {}};
-        if (p.len) {
-            out.payload.resize(p.len);
-            recvParkedPayload(dst, p.src, p.fd, out.payload.data(),
-                              p.len);
-        }
-        epollAdd(dst, packToken(FdKind::Pair, p.src, p.fd), p.fd);
-        if (p.len)
-            grantCredit(dst, p.src, p.tag, p.len);
-        return true;
-    }
-    // Miss. A second miss with no intervening receive-side change
-    // means the consumer is stuck behind parked misfits: stage them
-    // so the connections (which may carry this tag further back)
-    // keep moving.
-    auto mit = n.lastMiss.find(tag);
-    if (mit != n.lastMiss.end() && mit->second == n.recvVersion &&
-        !n.parked.empty())
-        stageParked(dst, n);
-    n.lastMiss[tag] = n.recvVersion;
-    return false;
-}
-
 std::ptrdiff_t
 TcpTransport::pollTagInto(NodeId dst, int tag, const ReserveFn &reserve)
 {
     Node &n = *nodes_[dst];
     MutexLock lock(n.recvMutex);
-    for (auto it = n.selfBox.begin(); it != n.selfBox.end(); ++it) {
-        if (it->tag != tag)
-            continue;
-        NetMessage msg = std::move(*it);
-        n.selfBox.erase(it);
-        ++n.recvVersion;
-        n.lastMiss.erase(tag);
-        if (msg.payload.empty())
-            return 0;
-        std::uint8_t *to = reserve(msg.payload.size());
-        panicIf(to == nullptr, "pollTagInto: reserve returned null");
-        std::memcpy(to, msg.payload.data(), msg.payload.size());
-        return static_cast<std::ptrdiff_t>(msg.payload.size());
-    }
-    for (auto it = n.staged.begin(); it != n.staged.end(); ++it) {
-        if (it->tag != tag)
-            continue;
+    auto it = std::find_if(n.staged.begin(), n.staged.end(),
+                           [tag](const NetMessage &m) {
+                               return m.tag == tag;
+                           });
+    if (it != n.staged.end()) {
         NetMessage msg = std::move(*it);
         n.staged.erase(it);
         ++n.recvVersion;
         n.lastMiss.erase(tag);
         if (msg.payload.empty())
             return 0;
-        // Staged delivery: the frame already paid its one staging
-        // copy, so this is not a zero-copy receive — recv_into_bytes
-        // intentionally excludes it.
+        // An owned payload (self-delivered, or already staged with its
+        // one copy) is not a zero-copy receive: recv_into_bytes
+        // intentionally excludes it. A self-delivery has no TxStream,
+        // so its grant is a no-op.
         std::uint8_t *to = reserve(msg.payload.size());
         panicIf(to == nullptr, "pollTagInto: reserve returned null");
         std::memcpy(to, msg.payload.data(), msg.payload.size());
@@ -845,6 +740,10 @@ TcpTransport::pollTagInto(NodeId dst, int tag, const ReserveFn &reserve)
         grantCredit(dst, p.src, p.tag, p.len);
         return static_cast<std::ptrdiff_t>(p.len);
     }
+    // Miss. A second miss with no intervening receive-side change
+    // means the consumer is stuck behind parked misfits: stage them
+    // so the connections (which may carry this tag further back)
+    // keep moving.
     auto mit = n.lastMiss.find(tag);
     if (mit != n.lastMiss.end() && mit->second == n.recvVersion &&
         !n.parked.empty())

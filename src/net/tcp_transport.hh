@@ -58,10 +58,16 @@
  *    loop, with timeout/resend and stale-reply filtering by request
  *    id — handlers on this path must be idempotent.
  *
- * poll/pollTag/pollTagInto are non-blocking probes exactly like the
- * model transport's: "false / -1" means nothing has *arrived yet*,
- * and every consumer in the repository already retries in a loop, so
- * in-flight bytes are indistinguishable from a late sender.
+ *  - Receive queues: one deque of owned payloads (`staged`) holds
+ *    both self-deliveries (send to the own node never touches a
+ *    socket) and staged copies, each source's messages in arrival
+ *    order, so pollTagInto makes one scan of it before it looks at
+ *    the parked frames.
+ *
+ * pollTagInto is a non-blocking probe exactly like the model
+ * transport's: -1 means nothing has *arrived yet*, and every consumer
+ * in the repository already retries in a loop, so in-flight bytes are
+ * indistinguishable from a late sender.
  */
 
 #ifndef SKYWAY_NET_TCP_TRANSPORT_HH
@@ -93,8 +99,6 @@ class TcpTransport final : public Transport
 
     void send(NodeId src, NodeId dst, int tag,
               std::vector<std::uint8_t> payload) override;
-    bool poll(NodeId dst, NetMessage &out) override;
-    bool pollTag(NodeId dst, int tag, NetMessage &out) override;
     std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                const ReserveFn &reserve) override;
     void registerHandler(NodeId node, RequestHandler handler) override;
@@ -179,14 +183,14 @@ class TcpTransport final : public Transport
         /**
          * Receive side, shared between the loop (parks frames) and
          * consumer threads (claim parked frames, stage misfits):
-         * local deliveries, staged copies, parked frames, and the
-         * per-tag miss tracking that decides when staging is forced.
+         * owned payloads (self-deliveries and staged copies, in
+         * arrival order), parked frames, and the per-tag miss
+         * tracking that decides when staging is forced.
          * Lock order: recvMutex may be held while taking any node's
          * sendMutex (credit grants), poolMutex_ and a peer's outMutex
          * (the help-flush chain) — never the reverse.
          */
         Mutex recvMutex;
-        std::deque<NetMessage> selfBox GUARDED_BY(recvMutex);
         std::deque<NetMessage> staged GUARDED_BY(recvMutex);
         std::vector<Parked> parked GUARDED_BY(recvMutex);
         /** Bumped whenever parked/staged state changes; a tag that

@@ -1,7 +1,7 @@
 /**
  * @file
  * The pluggable transport behind the cluster fabric. ClusterNetwork
- * keeps the consumer-facing API (send/poll/request) and all the
+ * keeps the consumer-facing API (send/pollTagInto/request) and all the
  * accounting; how bytes actually move between nodes is a Transport:
  *
  *  - ModelTransport: the in-process mailboxes the repository started
@@ -39,11 +39,11 @@ namespace skyway
 /** A node id within one cluster. */
 using NodeId = int;
 
-/** One in-flight message. */
+/** A message a transport holds for its destination node until a
+ *  consumer claims it through pollTagInto (transport-internal). */
 struct NetMessage
 {
     NodeId src;
-    NodeId dst;
     int tag;
     std::vector<std::uint8_t> payload;
 };
@@ -171,30 +171,19 @@ class Transport
                       std::vector<std::uint8_t> payload) = 0;
 
     /**
-     * Dequeue the next message addressed to @p dst (any source/tag);
-     * returns false when nothing has *arrived* — on a real transport
-     * bytes may still be in flight, so callers that expect more data
-     * retry (every consumer in this repository already loops).
-     */
-    virtual bool poll(NodeId dst, NetMessage &out) = 0;
-
-    /**
-     * Dequeue the next message for @p dst with tag @p tag, retaining
-     * others (per-tag delivery order is preserved). False when none
-     * has arrived.
-     */
-    virtual bool pollTag(NodeId dst, int tag, NetMessage &out) = 0;
-
-    /**
-     * Like pollTag, but delivers the payload *into caller-posted
-     * storage*: the transport asks @p reserve for a destination of
-     * the payload's size and moves the bytes straight there — a
-     * modeled NIC DMA, or a literal recv() into old-gen chunk
-     * storage on the TCP transport.
+     * The one receive probe. Dequeues the next message for @p dst
+     * with tag @p tag, retaining others (per-(src, tag) delivery
+     * order is preserved), and delivers its payload *into
+     * caller-posted storage*: the transport asks @p reserve for a
+     * destination of the payload's size and moves the bytes straight
+     * there — a modeled NIC DMA, or a literal recv() into old-gen
+     * chunk storage on the TCP transport.
      *
      * Returns the payload size, 0 for an empty (end-of-stream)
      * payload — @p reserve is not called — or -1 when no message
-     * with the tag has arrived.
+     * with the tag has *arrived*: on a real transport bytes may still
+     * be in flight, so callers that expect more data retry (every
+     * consumer in this repository already loops).
      */
     virtual std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                        const ReserveFn &reserve) = 0;

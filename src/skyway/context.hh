@@ -45,15 +45,17 @@ class FieldUpdateRegistry
         updates_[class_name].push_back({field_name, std::move(fn)});
     }
 
-    /** Apply all updates registered for @p k to @p obj. */
-    void
+    /** Apply all updates registered for @p k to @p obj; false when
+     *  none is registered (nothing was stored). */
+    bool
     apply(ManagedHeap &heap, const Klass *k, Address obj) const
     {
         auto it = updates_.find(k->name());
         if (it == updates_.end())
-            return;
+            return false;
         for (const auto &[fname, fn] : it->second)
             fn(heap, obj, k->requireField(fname));
+        return true;
     }
 
     bool empty() const { return updates_.empty(); }

@@ -26,6 +26,23 @@ holdsRefs(const Klass *k)
                         : !k->refOffsets().empty();
 }
 
+/** Call @p visit(address, size) for each record in [a, end), skipping
+ *  the fillers that consumed markers became at commit. */
+template <typename Visit>
+void
+forEachRecord(const ManagedHeap &h, Address a, Address end, Visit visit)
+{
+    while (a < end) {
+        if (ManagedHeap::isFiller(a)) {
+            a += ManagedHeap::fillerSize(a);
+            continue;
+        }
+        std::size_t size = h.objectSize(a);
+        visit(a, size);
+        a += size;
+    }
+}
+
 } // namespace
 
 InputBuffer::InputBuffer(SkywayContext &ctx, std::size_t chunk_bytes)
@@ -308,45 +325,11 @@ InputBuffer::resolveRel(std::uint64_t rel) const
 }
 
 void
-InputBuffer::absolutizeChunk(Chunk &c, bool have_updates)
-{
-    Address a = c.base;
-    Address end = c.base + c.fill;
-
-    while (a < end) {
-        // Consumed markers were overwritten with fillers at commit,
-        // and every klass word holds a klass pointer since then.
-        if (ManagedHeap::isFiller(a)) {
-            a += ManagedHeap::fillerSize(a);
-            continue;
-        }
-        std::size_t size = heap_.objectSize(a);
-
-        // Absolutize every reference slot: relative address a' maps
-        // to chunk_base + (a' - chunk_first_logical).
-        forEachRefSlot(heap_, a, [&](std::size_t off) {
-            Word slot = heap_.loadWord(a, off);
-            if (slot == 0)
-                return;
-            heap_.storeWord(a, off,
-                            static_cast<Word>(resolveRel(slot - 1)));
-            ++stats_.refsAbsolutized;
-        });
-
-        if (have_updates) {
-            ctx_.updates().apply(heap_, heap_.klassOf(a), a);
-            ++stats_.fieldUpdatesApplied;
-        }
-        a += size;
-    }
-}
-
-void
 InputBuffer::finalize()
 {
     // Types were absolutized at commit, so the scan here visits only
-    // the chunks holding reference slots (or every chunk when field
-    // updates are registered); its time is the span to watch.
+    // the chunks holding reference slots (and every chunk again when
+    // field updates are registered); its time is the span to watch.
     SKYWAY_SPAN("receiver.absolutize");
     panicIf(finalized_, "InputBuffer: finalize called twice");
     panicIf(reserved_ != nullptr,
@@ -360,21 +343,50 @@ InputBuffer::finalize()
                   validator_->firstFault());
     }
     panicIf(rootNext_, "InputBuffer: a top mark is not followed by a record");
-    bool have_updates = !ctx_.updates().empty();
-    for (Chunk &c : chunks_)
-        if (c.hasRefs || have_updates)
-            absolutizeChunk(c, have_updates);
+    // Every klass word holds a klass pointer since commit; absolutize
+    // every reference slot: relative address a' maps to chunk_base +
+    // (a' - chunk_first_logical).
+    for (const Chunk &c : chunks_) {
+        if (!c.hasRefs)
+            continue;
+        forEachRecord(heap_, c.base, c.base + c.fill,
+                      [&](Address a, std::size_t) {
+            forEachRefSlot(heap_, a, [&](std::size_t off) {
+                Word slot = heap_.loadWord(a, off);
+                if (slot == 0)
+                    return;
+                heap_.storeWord(a, off,
+                                static_cast<Word>(resolveRel(slot - 1)));
+                ++stats_.refsAbsolutized;
+            });
+        });
+    }
 
     for (Chunk &c : chunks_) {
         // Make the unreached tail walkable and let the GC see the
         // chunk as a sequence of live objects. A received reference
         // points into this buffer (old to old), so the card table
-        // needs to hear only about what a field update may have
-        // stored: possibly a young object.
+        // needs to hear nothing about it.
         heap_.writeFillerAny(c.base + c.fill, c.cap - c.fill);
-        if (have_updates && c.fill > 0)
-            heap_.dirtyCardRange(c.base, c.fill);
         heap_.makePinWalkable(c.pin);
+    }
+
+    // Field updates run last, over walkable chunks: an update that
+    // allocates may trigger a collection, which must then see every
+    // received object. An update may also store a young object
+    // without the write barrier, so the record's cards are dirtied
+    // at once, as the barrier would, before the next update can
+    // scavenge.
+    if (!ctx_.updates().empty()) {
+        for (const Chunk &c : chunks_) {
+            forEachRecord(heap_, c.base, c.base + c.fill,
+                          [&](Address a, std::size_t size) {
+                if (ctx_.updates().apply(heap_, heap_.klassOf(a), a)) {
+                    heap_.dirtyCardRange(a, size);
+                    ++stats_.fieldUpdatesApplied;
+                }
+            });
+        }
     }
     finalized_ = true;
     if (ctx_.debug().checkReceivedGraph)
@@ -387,29 +399,17 @@ InputBuffer::auditRebuilt() const
 {
     std::unordered_set<Address> starts;
     for (const Chunk &c : chunks_) {
-        Address a = c.base;
         Address end = c.base + c.fill;
-        while (a < end) {
-            if (ManagedHeap::isFiller(a)) {
-                a += ManagedHeap::fillerSize(a);
-                continue;
-            }
+        forEachRecord(heap_, c.base, end, [&](Address a, std::size_t size) {
             starts.insert(a);
-            std::size_t size = heap_.objectSize(a);
             if (size == 0 || a + size > end)
                 panic("SkywaySan: rebuilt object at " +
                       std::to_string(a) + " overruns its chunk");
-            a += size;
-        }
+        });
     }
     for (const Chunk &c : chunks_) {
-        Address a = c.base;
-        Address end = c.base + c.fill;
-        while (a < end) {
-            if (ManagedHeap::isFiller(a)) {
-                a += ManagedHeap::fillerSize(a);
-                continue;
-            }
+        forEachRecord(heap_, c.base, c.base + c.fill,
+                      [&](Address a, std::size_t) {
             Word m = heap_.markOf(a);
             if ((m & ~(mark::hashMask | mark::hashComputedBit)) != 0)
                 panic("SkywaySan: rebuilt " + heap_.klassOf(a)->name() +
@@ -427,8 +427,7 @@ InputBuffer::auditRebuilt() const
                           " references outside the input buffer "
                           "and the heap");
             });
-            a += heap_.objectSize(a);
-        }
+        });
     }
     for (Address r : roots_)
         panicIf(r != nullAddr && !starts.count(r),

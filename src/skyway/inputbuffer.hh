@@ -32,13 +32,15 @@
  * relative), so the GC neither walks nor frees them. finalize() runs
  * the linear absolutization pass over the chunks that need it: a
  * chunk is walked only when a record committed into it has reference
- * slots, or when field updates are registered. Relative references
- * become absolute addresses via the chunk translation and registered
- * field updates are applied. A received reference always points into
- * the same buffer (old to old), so cards are dirtied only when field
- * updates are registered, as an update may store a young pointer.
- * The chunks then become pinned *walkable* — live until the developer
- * frees the buffer.
+ * slots. Relative references become absolute addresses via the chunk
+ * translation. The chunks then become pinned *walkable* — live until
+ * the developer frees the buffer. Registered field updates run last,
+ * in their own walk over the walkable chunks, so a collection an
+ * update triggers sees every received object. A received reference
+ * always points into the same buffer (old to old), so the only cards
+ * dirtied are those of records an update touched, right after the
+ * update, as a write barrier would: an update may store a young
+ * pointer.
  */
 
 #ifndef SKYWAY_SKYWAY_INPUTBUFFER_HH
@@ -143,10 +145,10 @@ class InputBuffer
 
     /**
      * The linear absolutization pass; call once streaming has
-     * finished. Walks only the chunks holding reference slots, or all
-     * of them when field updates are registered (whose stores are
-     * also the only reason to dirty the chunks' cards). Computation
-     * on the buffer must block until this completes.
+     * finished. Walks only the chunks holding reference slots, then,
+     * when field updates are registered, every chunk once more to
+     * apply them (whose stores are the only reason to dirty cards).
+     * Computation on the buffer must block until this completes.
      */
     void finalize();
 
@@ -217,10 +219,6 @@ class InputBuffer
      */
     std::size_t expandSegment(const std::uint8_t *data,
                               std::size_t len);
-
-    /** Absolutize @p c's references, applying field updates to every
-     *  record when @p have_updates. */
-    void absolutizeChunk(Chunk &c, bool have_updates);
 
     /**
      * SkywaySan post-finalize structural audit

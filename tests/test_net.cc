@@ -38,19 +38,32 @@ TEST(CostModel, InfiniBandIsFaster)
               gigabitEthernet().transferNs(1 << 20));
 }
 
+std::string
+str(const std::vector<std::uint8_t> &v)
+{
+    return std::string(v.begin(), v.end());
+}
+
 TEST(Cluster, SendPollInOrder)
 {
+    // Per-(src, tag) FIFO: each tag's messages come out in the order
+    // they were sent, however the tags interleave.
     ClusterNetwork net(3);
     net.send(0, 1, 7, bytesOf("first"));
+    net.send(0, 1, 8, bytesOf("other first"));
     net.send(0, 1, 7, bytesOf("second"));
-    NetMessage m;
-    ASSERT_TRUE(net.poll(1, m));
-    EXPECT_EQ(m.src, 0);
-    EXPECT_EQ(m.tag, 7);
-    EXPECT_EQ(std::string(m.payload.begin(), m.payload.end()), "first");
-    ASSERT_TRUE(net.poll(1, m));
-    EXPECT_EQ(std::string(m.payload.begin(), m.payload.end()), "second");
-    EXPECT_FALSE(net.poll(1, m));
+    net.send(0, 1, 8, bytesOf("other second"));
+    std::vector<std::uint8_t> m;
+    ASSERT_TRUE(net.pollTag(1, 7, m));
+    EXPECT_EQ(str(m), "first");
+    ASSERT_TRUE(net.pollTag(1, 7, m));
+    EXPECT_EQ(str(m), "second");
+    EXPECT_FALSE(net.pollTag(1, 7, m));
+    ASSERT_TRUE(net.pollTag(1, 8, m));
+    EXPECT_EQ(str(m), "other first");
+    ASSERT_TRUE(net.pollTag(1, 8, m));
+    EXPECT_EQ(str(m), "other second");
+    EXPECT_FALSE(net.pollTag(1, 8, m));
 }
 
 TEST(Cluster, PollTagSkipsOthers)
@@ -58,11 +71,11 @@ TEST(Cluster, PollTagSkipsOthers)
     ClusterNetwork net(2);
     net.send(0, 1, 1, bytesOf("a"));
     net.send(0, 1, 2, bytesOf("b"));
-    NetMessage m;
+    std::vector<std::uint8_t> m;
     ASSERT_TRUE(net.pollTag(1, 2, m));
-    EXPECT_EQ(std::string(m.payload.begin(), m.payload.end()), "b");
+    EXPECT_EQ(str(m), "b");
     ASSERT_TRUE(net.pollTag(1, 1, m));
-    EXPECT_EQ(std::string(m.payload.begin(), m.payload.end()), "a");
+    EXPECT_EQ(str(m), "a");
 }
 
 TEST(Cluster, PollTagSkipRetainsPerTagOrder)
@@ -71,16 +84,33 @@ TEST(Cluster, PollTagSkipRetainsPerTagOrder)
     net.send(0, 1, 1, bytesOf("first"));
     net.send(0, 1, 2, bytesOf("other"));
     net.send(0, 1, 1, bytesOf("second"));
-    NetMessage m;
+    std::vector<std::uint8_t> m;
     // Draining tag 2 out of the middle must not disturb tag 1's
     // delivery order.
     ASSERT_TRUE(net.pollTag(1, 2, m));
-    EXPECT_EQ(std::string(m.payload.begin(), m.payload.end()), "other");
+    EXPECT_EQ(str(m), "other");
     ASSERT_TRUE(net.pollTag(1, 1, m));
-    EXPECT_EQ(std::string(m.payload.begin(), m.payload.end()), "first");
+    EXPECT_EQ(str(m), "first");
     ASSERT_TRUE(net.pollTag(1, 1, m));
-    EXPECT_EQ(std::string(m.payload.begin(), m.payload.end()),
-              "second");
+    EXPECT_EQ(str(m), "second");
+}
+
+TEST(Cluster, PollTagEmptiesVectorOnEndOfStream)
+{
+    // The vector is the posted storage: a reused one is resized to
+    // each payload, and an end-of-stream marker leaves it empty.
+    ClusterNetwork net(2);
+    net.send(0, 1, 4, bytesOf("a longer payload"));
+    net.send(0, 1, 4, bytesOf("short"));
+    net.send(0, 1, 4, {});
+    std::vector<std::uint8_t> m;
+    ASSERT_TRUE(net.pollTag(1, 4, m));
+    EXPECT_EQ(str(m), "a longer payload");
+    ASSERT_TRUE(net.pollTag(1, 4, m));
+    EXPECT_EQ(str(m), "short");
+    ASSERT_TRUE(net.pollTag(1, 4, m));
+    EXPECT_TRUE(m.empty());
+    EXPECT_FALSE(net.pollTag(1, 4, m));
 }
 
 TEST(Cluster, PollTagIntoNothingPending)
@@ -131,8 +161,9 @@ TEST(Cluster, LoopbackIsFreeAndUncounted)
     net.send(0, 0, 0, std::vector<std::uint8_t>(1000));
     EXPECT_EQ(net.totalBytesSent(0), 0u);
     EXPECT_EQ(net.wireNs(0), 0u);
-    NetMessage m;
-    EXPECT_TRUE(net.poll(0, m));
+    std::vector<std::uint8_t> m;
+    EXPECT_TRUE(net.pollTag(0, 0, m));
+    EXPECT_EQ(m.size(), 1000u);
 }
 
 TEST(Cluster, WireTimeCharged)

@@ -376,6 +376,70 @@ TEST_F(SkywayTest, FieldUpdateStoringYoungDirtiesCards)
     EXPECT_EQ((reflect::getField<std::int32_t>(hb, left, "x")), 5);
 }
 
+TEST_F(SkywayTest, FieldUpdateThatScavengesKeepsEarlierStores)
+{
+    // An update that allocates may trigger a scavenge partway through
+    // finalize. The young Points earlier updates stored without the
+    // write barrier must survive it: finalize applies updates only
+    // once the chunks are walkable, and dirties each updated record's
+    // cards at once.
+    constexpr int kPairs = 2000;
+    ManagedHeap &ha = nodeA_.heap();
+    Klass *pair_a = nodeA_.klasses().load("test.Pair");
+    LocalRoots roots(ha);
+    std::size_t head = roots.push(nullAddr);
+    for (int i = kPairs - 1; i >= 0; --i) {
+        std::size_t rp = roots.push(makePoint(nodeA_, i, -i));
+        Address p = ha.allocateInstance(pair_a);
+        field::setRef(ha, p, pair_a->requireField("left"), roots.get(head));
+        field::setRef(ha, p, pair_a->requireField("right"), roots.get(rp));
+        roots.set(head, p);
+    }
+
+    ManagedHeap &hb = nodeB_.heap();
+    Klass *ints = nodeB_.klasses().load("[I");
+    nodeB_.skyway().updates().registerUpdate(
+        "test.Pair", "right",
+        [this, ints](ManagedHeap &h, Address obj, const FieldDesc &f) {
+            Address old = h.load<Address>(obj, f.offset);
+            auto x = reflect::getField<std::int32_t>(h, old, "x");
+            auto y = reflect::getField<std::int32_t>(h, old, "y");
+            h.allocateArray(ints, 4096); // 16 KB of young garbage
+            h.store<Address>(obj, f.offset, makePoint(nodeB_, x, y));
+        });
+    std::uint64_t scavenges = hb.stats().scavenges;
+    Address q = transfer(roots.get(head));
+    EXPECT_GT(hb.stats().scavenges, scavenges)
+        << "no scavenge ran during finalize";
+    EXPECT_EQ(keep_.back()->stats().fieldUpdatesApplied,
+              static_cast<std::uint64_t>(kPairs));
+
+    Klass *pair_b = nodeB_.klasses().load("test.Pair");
+    Klass *point_b = nodeB_.klasses().load("test.Point");
+    const FieldDesc &left = pair_b->requireField("left");
+    const FieldDesc &right = pair_b->requireField("right");
+    int broken = 0;
+    Address p = q;
+    for (int i = 0; i < kPairs; ++i, p = field::getRef(hb, p, left)) {
+        ASSERT_NE(p, nullAddr);
+        Address r = field::getRef(hb, p, right);
+        // Compare the klass word before reading fields: a lost store
+        // leaves the slot pointing at reused eden memory.
+        if (hb.klassOf(r) != point_b ||
+            reflect::getField<std::int32_t>(hb, r, "x") != i ||
+            reflect::getField<std::int32_t>(hb, r, "y") != -i)
+            ++broken;
+    }
+    ASSERT_EQ(broken, 0) << "Pairs whose updated right was lost";
+
+    nodeB_.gc().scavenge();
+    nodeB_.gc().fullGc();
+    sanitize::GraphCheckResult res =
+        sanitize::checkHeapGraphs(ha, roots.get(head), hb, q);
+    EXPECT_TRUE(res.equal) << res.divergence;
+    EXPECT_EQ(res.objectsCompared, 2u * kPairs);
+}
+
 TEST_F(SkywayTest, FreedBufferIsCollected)
 {
     LocalRoots roots(nodeA_.heap());

@@ -59,11 +59,12 @@ str(const std::vector<std::uint8_t> &v)
     return std::string(v.begin(), v.end());
 }
 
-/** Spin until a tagged message arrives (TCP bytes are in flight). */
-NetMessage
+/** Spin until a tagged message arrives (TCP bytes are in flight);
+ *  returns its payload. */
+std::vector<std::uint8_t>
 awaitTag(ClusterNetwork &net, NodeId dst, int tag)
 {
-    NetMessage m;
+    std::vector<std::uint8_t> m;
     while (!net.pollTag(dst, tag, m)) {
     }
     return m;
@@ -130,13 +131,13 @@ TEST(TcpCluster, SendPollInOrder)
     EXPECT_STREQ(net.transportName(), "tcp");
     net.send(0, 1, 7, bytesOf("first"));
     net.send(0, 1, 7, bytesOf("second"));
-    NetMessage m = awaitTag(net, 1, 7);
-    EXPECT_EQ(m.src, 0);
-    EXPECT_EQ(m.tag, 7);
-    EXPECT_EQ(str(m.payload), "first");
+    // Node 0 is the only sender and tag 7 the only tag, so the
+    // payloads alone identify the stream.
+    std::vector<std::uint8_t> m = awaitTag(net, 1, 7);
+    EXPECT_EQ(str(m), "first");
     m = awaitTag(net, 1, 7);
-    EXPECT_EQ(str(m.payload), "second");
-    EXPECT_FALSE(net.poll(1, m));
+    EXPECT_EQ(str(m), "second");
+    EXPECT_FALSE(net.pollTag(1, 7, m));
 }
 
 TEST(TcpCluster, PollTagSkipsOthersAndRetainsOrder)
@@ -146,9 +147,9 @@ TEST(TcpCluster, PollTagSkipsOthersAndRetainsOrder)
     net.send(0, 1, 2, bytesOf("b"));
     net.send(0, 1, 1, bytesOf("a2"));
     // Draining tag 2 first must not disturb tag 1's order.
-    EXPECT_EQ(str(awaitTag(net, 1, 2).payload), "b");
-    EXPECT_EQ(str(awaitTag(net, 1, 1).payload), "a1");
-    EXPECT_EQ(str(awaitTag(net, 1, 1).payload), "a2");
+    EXPECT_EQ(str(awaitTag(net, 1, 2)), "b");
+    EXPECT_EQ(str(awaitTag(net, 1, 1)), "a1");
+    EXPECT_EQ(str(awaitTag(net, 1, 1)), "a2");
 }
 
 TEST(TcpCluster, SelfSendIsFreeAndDelivered)
@@ -157,9 +158,9 @@ TEST(TcpCluster, SelfSendIsFreeAndDelivered)
     net.send(0, 0, 5, bytesOf("home"));
     EXPECT_EQ(net.totalBytesSent(0), 0u);
     EXPECT_EQ(net.wireNs(0), 0u);
-    NetMessage m;
+    std::vector<std::uint8_t> m;
     ASSERT_TRUE(net.pollTag(0, 5, m)); // local: no flight time
-    EXPECT_EQ(str(m.payload), "home");
+    EXPECT_EQ(str(m), "home");
 }
 
 TEST(TcpCluster, PollTagIntoDeliversIntoPostedStorage)
@@ -336,7 +337,7 @@ TEST(TransportParity, AccountingMatchesByteForByte)
         (void)awaitTag(net, 1, 1);
         (void)awaitTag(net, 2, 1);
         (void)awaitTag(net, 0, 2);
-        NetMessage m;
+        std::vector<std::uint8_t> m;
         (void)net.pollTag(1, 3, m);
     };
     ClusterNetwork model(3, gigabitEthernet(), TransportKind::Model);
@@ -367,6 +368,7 @@ TEST(TcpCluster, ConcurrentSendersManyTags)
                 std::vector<std::uint8_t> p(64 + t,
                                             static_cast<std::uint8_t>(
                                                 i));
+                p[1] = static_cast<std::uint8_t>(src);
                 net.send(src, 2, src * tags + t, std::move(p));
             }
         }
@@ -375,11 +377,13 @@ TEST(TcpCluster, ConcurrentSendersManyTags)
     for (int src = 0; src < 2; ++src) {
         for (int t = 0; t < tags; ++t) {
             for (int i = 0; i < perTag; ++i) {
-                NetMessage m = awaitTag(net, 2, src * tags + t);
-                EXPECT_EQ(m.src, src);
-                ASSERT_EQ(m.payload.size(),
-                          static_cast<std::size_t>(64 + t));
-                EXPECT_EQ(m.payload[0], static_cast<std::uint8_t>(i));
+                // Tags are unique per source; the payload names its
+                // source as well.
+                std::vector<std::uint8_t> m =
+                    awaitTag(net, 2, src * tags + t);
+                ASSERT_EQ(m.size(), static_cast<std::size_t>(64 + t));
+                EXPECT_EQ(m[0], static_cast<std::uint8_t>(i));
+                EXPECT_EQ(m[1], static_cast<std::uint8_t>(src));
             }
         }
     }
@@ -397,14 +401,72 @@ TEST(TcpCluster, InterleavedTagsShareOneConnection)
     // Draining tag 2 ahead of tag 1 forces the parked tag-1 misfits
     // through staging so the shared connection keeps moving; both
     // streams must keep their own order.
-    EXPECT_EQ(str(awaitTag(net, 1, 2).payload), "b1");
-    EXPECT_EQ(str(awaitTag(net, 1, 2).payload), "b2");
-    EXPECT_EQ(str(awaitTag(net, 1, 1).payload), "a1");
-    EXPECT_EQ(str(awaitTag(net, 1, 1).payload), "a2");
+    EXPECT_EQ(str(awaitTag(net, 1, 2)), "b1");
+    EXPECT_EQ(str(awaitTag(net, 1, 2)), "b2");
+    EXPECT_EQ(str(awaitTag(net, 1, 1)), "a1");
+    EXPECT_EQ(str(awaitTag(net, 1, 1)), "a2");
     // Two interleaved streams, one pooled pair connection.
     EXPECT_EQ(net.pooledConnections(), 1u);
-    NetMessage m;
-    EXPECT_FALSE(net.poll(1, m));
+    std::vector<std::uint8_t> m;
+    EXPECT_FALSE(net.pollTag(1, 1, m));
+    EXPECT_FALSE(net.pollTag(1, 2, m));
+}
+
+TEST(TcpCluster, SelfDeliveriesAndStagedCopiesShareOneQueue)
+{
+    // Node 1 receives tag 5 from itself and from node 0, while node
+    // 0's tag-6 frame, ahead of its tag-5 frames on the connection,
+    // is never claimed until the end: the tag-5 consumer must force
+    // it into staging. Self-deliveries and the staged copy share one
+    // queue; each source's order must hold, and only the parked
+    // payloads claimed directly count as zero-copy receives.
+    ClusterNetwork net(2, gigabitEthernet(), TransportKind::Tcp);
+    const std::vector<std::uint8_t> blocker(1000, 0xB6);
+    auto self = [](int i) { return bytesOf("self " + std::to_string(i)); };
+    auto peer = [](int i) {
+        return bytesOf("peer payload " + std::to_string(i));
+    };
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::seconds(30);
+    net.send(1, 1, 5, self(0));
+    net.send(0, 1, 6, blocker);
+    // A drain pass writes streams in tag order: let the blocker leave
+    // alone so that it is ahead of the tag-5 frames on the wire.
+    while (net.framesSent() == 0)
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    net.send(0, 1, 5, peer(0));
+    net.send(0, 1, 5, peer(1));
+    net.send(1, 1, 5, self(1));
+
+    int selfNext = 0;
+    int peerNext = 0;
+    std::vector<std::uint8_t> m;
+    while (selfNext < 2 || peerNext < 2) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "tag 5 stuck behind the parked tag-6 frame";
+        if (!net.pollTag(1, 5, m))
+            continue;
+        if (m == self(selfNext))
+            ++selfNext;
+        else if (m == peer(peerNext))
+            ++peerNext;
+        else
+            FAIL() << "out of order or unknown: " << str(m);
+    }
+
+    // The tag-6 frame now sits staged; a self-delivery made after it
+    // queues behind it and is still found by its tag.
+    net.send(1, 1, 5, self(2));
+    ASSERT_TRUE(net.pollTag(1, 5, m));
+    EXPECT_EQ(m, self(2));
+    ASSERT_TRUE(net.pollTag(1, 6, m)) << "the staged frame is owned";
+    EXPECT_EQ(m, blocker);
+    EXPECT_FALSE(net.pollTag(1, 5, m));
+    EXPECT_FALSE(net.pollTag(1, 6, m));
+
+    // Zero-copy counts the two peer payloads claimed while parked; the
+    // staged blocker and the self-deliveries were copies.
+    EXPECT_EQ(net.recvIntoBytes(), peer(0).size() + peer(1).size());
 }
 
 TEST(TcpCluster, CreditExhaustionStallsThenResumes)
@@ -423,9 +485,9 @@ TEST(TcpCluster, CreditExhaustionStallsThenResumes)
     // grants credit back.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     for (int i = 0; i < frames; ++i) {
-        NetMessage m = awaitTag(net, 1, 3);
-        ASSERT_EQ(m.payload.size(), payload.size());
-        EXPECT_EQ(m.payload[0], static_cast<std::uint8_t>(i));
+        std::vector<std::uint8_t> m = awaitTag(net, 1, 3);
+        ASSERT_EQ(m.size(), payload.size());
+        EXPECT_EQ(m[0], static_cast<std::uint8_t>(i));
     }
     // The stream stalled at least once and resumed on a grant.
     EXPECT_GT(net.creditStallsNs(), 0u);
@@ -569,7 +631,8 @@ TEST(TcpCluster, BidirectionalFloodDoesNotWedgeEventLoops)
     // before any consumer relieves them (the old code deadlocked
     // right here, with every later poll spinning forever).
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    auto awaitTagBounded = [&](NodeId dst, int tag, NetMessage &m) {
+    auto awaitTagBounded = [&](NodeId dst, int tag,
+                               std::vector<std::uint8_t> &m) {
         auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(30);
         while (!net.pollTag(dst, tag, m)) {
@@ -580,21 +643,22 @@ TEST(TcpCluster, BidirectionalFloodDoesNotWedgeEventLoops)
     };
     for (int t = 0; t < tags; ++t) {
         for (int i = 0; i < frames; ++i) {
-            NetMessage m;
+            std::vector<std::uint8_t> m;
             ASSERT_TRUE(awaitTagBounded(1, 20 + t, m))
                 << "deadlocked: event loops blocked writing";
-            ASSERT_EQ(m.payload.size(), payload.size());
-            EXPECT_EQ(m.payload[0], static_cast<std::uint8_t>(i));
-            EXPECT_EQ(m.payload[1], static_cast<std::uint8_t>(t));
+            ASSERT_EQ(m.size(), payload.size());
+            EXPECT_EQ(m[0], static_cast<std::uint8_t>(i));
+            EXPECT_EQ(m[1], static_cast<std::uint8_t>(t));
             ASSERT_TRUE(awaitTagBounded(0, 20 + t, m))
                 << "deadlocked: event loops blocked writing";
-            EXPECT_EQ(m.payload[0],
-                      static_cast<std::uint8_t>(100 + i));
+            EXPECT_EQ(m[0], static_cast<std::uint8_t>(100 + i));
         }
     }
-    NetMessage m;
-    EXPECT_FALSE(net.poll(0, m));
-    EXPECT_FALSE(net.poll(1, m));
+    std::vector<std::uint8_t> m;
+    for (int t = 0; t < tags; ++t) {
+        EXPECT_FALSE(net.pollTag(0, 20 + t, m)) << t;
+        EXPECT_FALSE(net.pollTag(1, 20 + t, m)) << t;
+    }
 }
 
 namespace
@@ -641,10 +705,17 @@ TEST(TcpCluster, PeerDisconnectAtFrameEdgeRecovers)
                                             5});
     rawSend(fd, hdr, sizeof(hdr));
     rawSend(fd, "hello", 5);
-    NetMessage m;
-    while (!t.pollTag(1, 5, m)) {
+    std::uint8_t buf[8];
+    auto into = [&buf](std::size_t len) {
+        EXPECT_LE(len, sizeof(buf));
+        return buf;
+    };
+    std::ptrdiff_t n;
+    while ((n = t.pollTagInto(1, 5, into)) < 0) {
     }
-    EXPECT_EQ(str(m.payload), "hello");
+    EXPECT_EQ(std::string(reinterpret_cast<char *>(buf),
+                          static_cast<std::size_t>(n)),
+              "hello");
     EXPECT_EQ(wire.connectionsPooled.load(), 1u);
     // ...then hangs up at a frame edge: an orderly EOF that must drop
     // the pooled pair, not panic. (The delivery's credit grant goes
@@ -652,9 +723,11 @@ TEST(TcpCluster, PeerDisconnectAtFrameEdgeRecovers)
     ::close(fd);
     // A real send from node 0 re-establishes a fresh pair connection.
     t.send(0, 1, 5, bytesOf("again"));
-    while (!t.pollTag(1, 5, m)) {
+    while ((n = t.pollTagInto(1, 5, into)) < 0) {
     }
-    EXPECT_EQ(str(m.payload), "again");
+    EXPECT_EQ(std::string(reinterpret_cast<char *>(buf),
+                          static_cast<std::size_t>(n)),
+              "again");
     EXPECT_EQ(wire.connectionsPooled.load(), 2u);
 }
 
@@ -714,12 +787,12 @@ TEST(TcpCluster, SixtyFourNodeRingAndChordSmoke)
                  bytesOf("chord " + std::to_string(i)));
     }
     for (int i = 0; i < N; ++i) {
-        NetMessage r = awaitTag(net, (i + 1) % N, 7);
-        EXPECT_EQ(r.src, i);
-        EXPECT_EQ(str(r.payload), "ring " + std::to_string(i));
-        NetMessage c = awaitTag(net, (i + N / 2) % N, 8);
-        EXPECT_EQ(c.src, i);
-        EXPECT_EQ(str(c.payload), "chord " + std::to_string(i));
+        // Each node receives one message per tag, and its payload
+        // names the sender.
+        EXPECT_EQ(str(awaitTag(net, (i + 1) % N, 7)),
+                  "ring " + std::to_string(i));
+        EXPECT_EQ(str(awaitTag(net, (i + N / 2) % N, 8)),
+                  "chord " + std::to_string(i));
     }
     // 64 ring pairs plus 32 distinct chord pairs; each chord pair
     // carries streams both ways yet is pooled exactly once, even when
@@ -746,9 +819,8 @@ TEST(TransportParity, ParityAtSixteenNodes)
             for (int s = 0; s < N; ++s) {
                 if (s == d)
                     continue;
-                NetMessage m = awaitTag(net, d, 100 + s);
-                EXPECT_EQ(m.src, s);
-                EXPECT_EQ(m.payload.size(),
+                // Tag 100 + s is unique to source s.
+                EXPECT_EQ(awaitTag(net, d, 100 + s).size(),
                           static_cast<std::size_t>(16 + 3 * s +
                                                    7 * d));
             }

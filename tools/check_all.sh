@@ -41,10 +41,12 @@ ctest --test-dir "$root/build-release" --output-on-failure -j "$jobs"
 
 echo "== [6/7] receiver tests, AddressSanitizer build =="
 # The receiver writes into chunk storage in place (klass words at
-# commit, madvise over each reservation, compact expansion): run the
-# tests that land streams under ASan, on both encodings
+# commit, madvise over each reservation, compact expansion), and every
+# transport receive probe writes into caller-posted storage: run the
+# tests that land streams or fabric messages under ASan (Cluster
+# matches the Cluster.* and TcpCluster.* suites), on both encodings
 # (docs/SANITIZER.md).
-receiver_tests='Skyway|WireCompact|Failure|Sanitize|Transport'
+receiver_tests='Skyway|WireCompact|Failure|Sanitize|Transport|Cluster'
 cmake -B "$root/build-asan" -S "$root" -DSKYWAY_SANITIZE=address
 cmake --build "$root/build-asan" -j "$jobs"
 ctest --test-dir "$root/build-asan" -R "$receiver_tests" \

@@ -45,7 +45,8 @@ ClusterNetwork::ClusterNetwork(int node_count, NetworkCostModel model,
       kind_(transport),
       wireNs_(node_count),
       bytes_(static_cast<std::size_t>(node_count) * node_count),
-      msgs_(node_count)
+      msgs_(node_count),
+      handlers_(node_count)
 {
     panicIf(node_count <= 0, "ClusterNetwork: need at least one node");
     transport_ = makeTransport(kind_, node_count, wire_, options);
@@ -90,18 +91,24 @@ ClusterNetwork::pollTagInto(NodeId dst, int tag,
 void
 ClusterNetwork::registerHandler(NodeId node, RequestHandler handler)
 {
-    transport_->registerHandler(node, std::move(handler));
+    MutexLock lock(handlerMutex_);
+    handlers_[node] = std::move(handler);
 }
 
 std::vector<std::uint8_t>
 ClusterNetwork::request(NodeId src, NodeId dst, int tag,
-                        const std::vector<std::uint8_t> &payload,
-                        const RequestOptions &opts)
+                        const std::vector<std::uint8_t> &payload)
 {
+    RequestHandler handler;
+    {
+        MutexLock lock(handlerMutex_);
+        handler = handlers_[dst];
+    }
+    panicIf(!handler, "request: node has no registered handler");
     charge(src, dst, payload.size());
     NetMetrics::get().requests.inc();
-    std::vector<std::uint8_t> reply =
-        transport_->request(src, dst, tag, payload, opts);
+    // Lock dropped: handlers may re-enter the fabric.
+    std::vector<std::uint8_t> reply = handler(src, tag, payload);
     // The requester blocks for the reply as well.
     if (src != dst) {
         std::uint64_t ns = model_.transferNs(reply.size());

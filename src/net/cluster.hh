@@ -6,7 +6,10 @@
  * the receiver posts (pollTag() posts a vector). How the bytes move
  * is a pluggable Transport (net/transport.hh) — in-process mailboxes on
  * the model transport, real loopback TCP sockets on the tcp
- * transport. Either way the *accounting* lives here: wire cost is
+ * transport. Request/reply (the type-registry LOOKUP daemon) is
+ * served here on both: request() calls the destination's registered
+ * handler on the requester's thread, the way one process hosting
+ * every node can. Either way the *accounting* lives here: wire cost is
  * charged to per-node simulated clocks through the NetworkCostModel,
  * and per-pair byte counters feed the "remote bytes" columns of the
  * evaluation figures — which is why `bytesSent`/`messagesSent` for
@@ -18,12 +21,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "net/costmodel.hh"
 #include "net/transport.hh"
 #include "support/logging.hh"
+#include "support/thread_annotations.hh"
 
 namespace skyway
 {
@@ -37,7 +42,17 @@ namespace skyway
 class ClusterNetwork
 {
   public:
-    using RequestHandler = Transport::RequestHandler;
+    /**
+     * A synchronous request handler a node may register (the type
+     * registry driver's daemon, paper Algorithm 1 part 2). Receives
+     * the request payload, returns the reply payload. It runs on the
+     * requester's thread, so concurrent requesters run it
+     * concurrently.
+     */
+    using RequestHandler =
+        std::function<std::vector<std::uint8_t>(NodeId src, int tag,
+                                                const std::vector<
+                                                    std::uint8_t> &)>;
     using ReserveFn = Transport::ReserveFn;
 
     explicit ClusterNetwork(int node_count,
@@ -96,16 +111,15 @@ class ClusterNetwork
     void registerHandler(NodeId node, RequestHandler handler);
 
     /**
-     * Synchronous request/reply (a blocking socket round trip).
-     * Charges request wire time to @p src and reply wire time to
-     * @p src as well — the requester blocks for the full RTT. On the
-     * tcp transport @p opts bounds the wait: the request is resent
-     * after @p opts.timeoutMs up to @p opts.maxRetries times.
+     * Synchronous request/reply: calls @p dst's handler on the
+     * caller's thread (panics when @p dst registered none). Charges
+     * request wire time to @p src and reply wire time to @p src as
+     * well — the requester blocks for the full RTT — identically on
+     * every transport.
      */
     std::vector<std::uint8_t> request(NodeId src, NodeId dst, int tag,
                                       const std::vector<std::uint8_t> &
-                                          payload,
-                                      const RequestOptions &opts = {});
+                                          payload);
 
     /// @name Accounting
     /// @{
@@ -190,6 +204,8 @@ class ClusterNetwork
     std::vector<std::atomic<std::uint64_t>> wireNs_;
     std::vector<std::atomic<std::uint64_t>> bytes_;
     std::vector<std::atomic<std::uint64_t>> msgs_;
+    Mutex handlerMutex_;
+    std::vector<RequestHandler> handlers_ GUARDED_BY(handlerMutex_);
 };
 
 } // namespace skyway

@@ -9,7 +9,7 @@ namespace skyway
 {
 
 ModelTransport::ModelTransport(int node_count)
-    : mailboxes_(node_count), handlers_(node_count)
+    : mailboxes_(node_count)
 {
 }
 
@@ -48,29 +48,6 @@ ModelTransport::pollTagInto(NodeId dst, int tag,
     panicIf(to == nullptr, "pollTagInto: reserve returned null");
     std::memcpy(to, msg.payload.data(), msg.payload.size());
     return static_cast<std::ptrdiff_t>(msg.payload.size());
-}
-
-void
-ModelTransport::registerHandler(NodeId node, RequestHandler handler)
-{
-    MutexLock lock(mutex_);
-    handlers_[node] = std::move(handler);
-}
-
-std::vector<std::uint8_t>
-ModelTransport::request(NodeId src, NodeId dst, int tag,
-                        const std::vector<std::uint8_t> &payload,
-                        const RequestOptions &)
-{
-    RequestHandler handler;
-    {
-        MutexLock lock(mutex_);
-        handler = handlers_[dst];
-    }
-    panicIf(!handler, "request: node has no registered handler");
-    // Synchronous: the handler runs on the requester's thread; the
-    // round trip cannot time out, so RequestOptions is ignored.
-    return handler(src, tag, payload);
 }
 
 } // namespace skyway

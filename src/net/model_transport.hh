@@ -29,19 +29,11 @@ class ModelTransport final : public Transport
               std::vector<std::uint8_t> payload) override;
     std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                const ReserveFn &reserve) override;
-    void registerHandler(NodeId node, RequestHandler handler) override;
-    std::vector<std::uint8_t>
-    request(NodeId src, NodeId dst, int tag,
-            const std::vector<std::uint8_t> &payload,
-            const RequestOptions &opts) override;
 
   private:
-    /** The one mailbox lock; every public method takes it (request()
-     *  drops it before invoking the handler — handlers may re-enter
-     *  the transport). */
+    /** The one mailbox lock; every public method takes it. */
     mutable Mutex mutex_;
     std::vector<std::deque<NetMessage>> mailboxes_ GUARDED_BY(mutex_);
-    std::vector<RequestHandler> handlers_ GUARDED_BY(mutex_);
 };
 
 } // namespace skyway

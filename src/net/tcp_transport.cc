@@ -69,7 +69,6 @@ enum class FdKind : std::uint64_t
     Wake = 0,
     Listen = 1,
     Pair = 2,
-    Ctrl = 3,
 };
 
 std::uint64_t
@@ -170,8 +169,7 @@ TcpTransport::TcpTransport(int node_count, WireCounters &wire,
                            const TransportOptions &options)
     : nodeCount_(node_count),
       wire_(wire),
-      options_(applyEnv(options)),
-      handlers_(node_count)
+      options_(applyEnv(options))
 {
     TcpMetrics::get(); // registration outside any hot path
     panicIf(options_.creditWindowBytes == 0,
@@ -274,13 +272,6 @@ TcpTransport::~TcpTransport()
             for (auto &[peer, fd] : n->pairFd)
                 ::close(fd);
         }
-        {
-            MutexLock lock(n->ctrlMutex);
-            for (auto &[dst, fd] : n->ctrlOut)
-                ::close(fd);
-        }
-        for (int fd : n->ctrlIn)
-            ::close(fd);
         ::close(n->listenFd);
         ::close(n->wakeRead);
         ::close(n->wakeWrite);
@@ -318,17 +309,6 @@ TcpTransport::epollDel(NodeId node, int fd)
     epoll_event ev{}; // ignored by DEL, but pre-2.6.9 kernels want it
     if (::epoll_ctl(nodes_[node]->epollFd, EPOLL_CTL_DEL, fd, &ev) < 0)
         sysErr("epoll_ctl(DEL)");
-}
-
-void
-TcpTransport::writeTimed(int fd, const std::uint8_t *buf,
-                         std::size_t len)
-{
-    Stopwatch sw;
-    sendFully(fd, buf, len);
-    std::uint64_t ns = sw.elapsedNs();
-    wire_.realWireNs.fetch_add(ns, std::memory_order_relaxed);
-    TcpMetrics::get().realWireNs.add(ns);
 }
 
 void
@@ -577,9 +557,8 @@ TcpTransport::pairFdOrClaim(NodeId node, NodeId dst)
         TcpMetrics::get().pooledConnections.add(1);
     }
 
-    frame::Handshake h{frame::channelData, node};
     std::uint8_t shake[frame::handshakeBytes];
-    frame::encodeHandshake(shake, h);
+    frame::encodeHandshake(shake, frame::Handshake{node});
     // Connect with poolMutex_ dropped: a backlog-overflow retry can
     // sleep ~200 ms, and holding the transport-wide lock across that
     // would stall every node's pair lookups and accepts. The claim
@@ -594,20 +573,6 @@ TcpTransport::pairFdOrClaim(NodeId node, NodeId dst)
         n.pairFd.emplace(dst, fd);
     }
     epollAdd(node, packToken(FdKind::Pair, dst, fd), fd);
-    return fd;
-}
-
-int
-TcpTransport::ctrlConnFor(Node &n, NodeId src, NodeId dst)
-{
-    auto it = n.ctrlOut.find(dst);
-    if (it != n.ctrlOut.end())
-        return it->second;
-    frame::Handshake h{frame::channelControl, src};
-    std::uint8_t shake[frame::handshakeBytes];
-    frame::encodeHandshake(shake, h);
-    int fd = connectTo(dst, shake, sizeof(shake));
-    n.ctrlOut.emplace(dst, fd);
     return fd;
 }
 
@@ -753,108 +718,6 @@ TcpTransport::pollTagInto(NodeId dst, int tag, const ReserveFn &reserve)
 }
 
 void
-TcpTransport::registerHandler(NodeId node, RequestHandler handler)
-{
-    MutexLock lock(handlerMutex_);
-    handlers_[node] = std::move(handler);
-}
-
-std::vector<std::uint8_t>
-TcpTransport::request(NodeId src, NodeId dst, int tag,
-                      const std::vector<std::uint8_t> &payload,
-                      const RequestOptions &opts)
-{
-    RequestHandler local;
-    {
-        MutexLock lock(handlerMutex_);
-        if (src == dst)
-            local = handlers_[dst];
-    }
-    if (src == dst) {
-        panicIf(!local, "request: node has no registered handler");
-        return local(src, tag, payload);
-    }
-
-    Node &n = *nodes_[src];
-    Mutex *pair;
-    {
-        MutexLock lock(n.ctrlMutex);
-        auto &slot = n.ctrlPair[dst];
-        if (!slot)
-            slot = std::make_unique<Mutex>();
-        pair = slot.get();
-    }
-    // One request in flight per (src, dst) pair: the shared control
-    // connection carries strict request/reply exchanges. Held across
-    // the round trip BY DESIGN — it is the exchange discipline, not
-    // incidental locking (lint rule 2 allowlists this site).
-    MutexLock exchange(*pair);
-
-    for (int attempt = 0; attempt <= opts.maxRetries; ++attempt) {
-        if (attempt > 0) {
-            wire_.connectRetries.fetch_add(1,
-                                           std::memory_order_relaxed);
-            TcpMetrics::get().connectRetries.inc();
-        }
-        int fd;
-        std::uint32_t req_id;
-        {
-            MutexLock lock(n.ctrlMutex);
-            fd = ctrlConnFor(n, src, dst);
-            req_id = n.nextReqId++;
-        }
-
-        frame::ControlHeader h{
-            frame::kindRequest, src, tag, req_id,
-            static_cast<std::uint32_t>(payload.size())};
-        std::uint8_t hdr[frame::controlHeaderBytes];
-        frame::encodeControlHeader(hdr, h);
-        countFrame();
-        writeTimed(fd, hdr, sizeof(hdr));
-        if (!payload.empty())
-            writeTimed(fd, payload.data(), payload.size());
-
-        // Wait out the reply, discarding stale replies from earlier
-        // timed-out attempts by request id.
-        Stopwatch sw;
-        while (true) {
-            std::uint64_t spent_ms = sw.elapsedNs() / 1'000'000;
-            if (spent_ms >= opts.timeoutMs)
-                break; // timeout: resend (bounded)
-            pollfd p{fd, POLLIN, 0};
-            int rc = ::poll(&p, 1,
-                            static_cast<int>(opts.timeoutMs -
-                                             spent_ms));
-            if (rc < 0 && errno == EINTR)
-                continue;
-            if (rc <= 0)
-                break;
-            std::uint8_t rhdr[frame::controlHeaderBytes];
-            if (!recvFully(fd, rhdr, sizeof(rhdr))) {
-                // Peer dropped the connection: reconnect and resend.
-                MutexLock lock(n.ctrlMutex);
-                ::close(fd);
-                n.ctrlOut.erase(dst);
-                break;
-            }
-            frame::ControlHeader r = frame::decodeControlHeader(rhdr);
-            panicIf(r.kind != frame::kindReply,
-                    "TcpTransport: unexpected frame on control reply "
-                    "path");
-            std::vector<std::uint8_t> reply(r.len);
-            if (r.len)
-                recvFully(fd, reply.data(), r.len);
-            if (r.reqId != req_id)
-                continue; // stale reply from a resent attempt
-            return reply;
-        }
-    }
-    panic("TcpTransport: request to node " + std::to_string(dst) +
-          " timed out after " + std::to_string(opts.maxRetries) +
-          " retries (tag " + std::to_string(tag) + ")");
-}
-
-void
 TcpTransport::acceptPending(NodeId node)
 {
     Node &n = *nodes_[node];
@@ -878,28 +741,23 @@ TcpTransport::acceptPending(NodeId node)
             panic("TcpTransport: bad handshake magic");
         panicIf(h.src < 0 || h.src >= nodeCount_,
                 "TcpTransport: handshake from out-of-range node id");
-        if (h.channel == frame::channelData) {
-            {
-                MutexLock lock(poolMutex_);
-                if (n.pairFd.count(h.src) != 0)
-                    panic("TcpTransport: duplicate pair connection "
-                          "from node " + std::to_string(h.src));
-                n.pairFd.emplace(h.src, fd);
-                PairEntry &e = pool_[pairKey(node, h.src)];
-                if (!e.claimed) {
-                    // An externally initiated connection (tests):
-                    // count it like a claim would have.
-                    e.claimed = true;
-                    wire_.connectionsPooled.fetch_add(
-                        1, std::memory_order_relaxed);
-                    TcpMetrics::get().pooledConnections.add(1);
-                }
+        {
+            MutexLock lock(poolMutex_);
+            if (n.pairFd.count(h.src) != 0)
+                panic("TcpTransport: duplicate pair connection from "
+                      "node " + std::to_string(h.src));
+            n.pairFd.emplace(h.src, fd);
+            PairEntry &e = pool_[pairKey(node, h.src)];
+            if (!e.claimed) {
+                // An externally initiated connection (tests): count
+                // it like a claim would have.
+                e.claimed = true;
+                wire_.connectionsPooled.fetch_add(
+                    1, std::memory_order_relaxed);
+                TcpMetrics::get().pooledConnections.add(1);
             }
-            epollAdd(node, packToken(FdKind::Pair, h.src, fd), fd);
-        } else {
-            n.ctrlIn.push_back(fd);
-            epollAdd(node, packToken(FdKind::Ctrl, h.src, fd), fd);
         }
+        epollAdd(node, packToken(FdKind::Pair, h.src, fd), fd);
     }
 }
 
@@ -921,39 +779,6 @@ TcpTransport::dropPair(NodeId node, NodeId peer, int fd)
         n.pairFd.erase(it);
     if (pool_.erase(pairKey(node, peer)))
         TcpMetrics::get().pooledConnections.add(-1);
-}
-
-bool
-TcpTransport::serveControl(NodeId node, int fd)
-{
-    std::uint8_t hdr[frame::controlHeaderBytes];
-    if (!recvFully(fd, hdr, sizeof(hdr)))
-        return false;
-    frame::ControlHeader h = frame::decodeControlHeader(hdr);
-    panicIf(h.kind != frame::kindRequest,
-            "TcpTransport: unexpected frame kind on control inbound");
-    std::vector<std::uint8_t> payload(h.len);
-    if (h.len)
-        recvFully(fd, payload.data(), h.len);
-
-    RequestHandler handler;
-    {
-        MutexLock lock(handlerMutex_);
-        handler = handlers_[node];
-    }
-    panicIf(!handler, "request: node has no registered handler");
-    std::vector<std::uint8_t> reply = handler(h.src, h.tag, payload);
-
-    frame::ControlHeader r{
-        frame::kindReply, node, h.tag, h.reqId,
-        static_cast<std::uint32_t>(reply.size())};
-    std::uint8_t rhdr[frame::controlHeaderBytes];
-    frame::encodeControlHeader(rhdr, r);
-    countFrame();
-    writeTimed(fd, rhdr, sizeof(rhdr));
-    if (!reply.empty())
-        writeTimed(fd, reply.data(), reply.size());
-    return true;
 }
 
 void
@@ -1137,13 +962,6 @@ TcpTransport::eventLoop(NodeId node)
                     flushPairWrites(node);
                 if (evs[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR))
                     handlePairReadable(node, peer, fd);
-                break;
-              case FdKind::Ctrl:
-                if (!serveControl(node, fd)) {
-                    ::close(fd); // close also leaves the epoll set
-                    n.ctrlIn.erase(std::find(n.ctrlIn.begin(),
-                                             n.ctrlIn.end(), fd));
-                }
                 break;
             }
         }

@@ -10,7 +10,7 @@
  *
  * Topology:
  *
- *  - Data plane: exactly ONE connection per unordered node pair,
+ *  - Connections: exactly ONE per unordered node pair,
  *    established lazily by whichever side sends first (a transport-
  *    wide pool arbitrates so a cross in the race still yields one
  *    connection — `net.pooled_connections` gauges the pool). Every
@@ -52,11 +52,9 @@
  *    claims cannot deadlock against a loop that is waiting on the
  *    claimer's own recvMutex.
  *
- *  - Control plane: unchanged request/reply connections per (src,
- *    dst) direction for the blocking request() round trip (the
- *    type-registry LOOKUP daemon), served by the destination's event
- *    loop, with timeout/resend and stale-reply filtering by request
- *    id — handlers on this path must be idempotent.
+ *  - No request plane: request/reply never touches a socket here —
+ *    ClusterNetwork calls the destination's handler directly and
+ *    models the round trip's cost (net/cluster.hh).
  *
  *  - Receive queues: one deque of owned payloads (`staged`) holds
  *    both self-deliveries (send to the own node never touches a
@@ -101,11 +99,6 @@ class TcpTransport final : public Transport
               std::vector<std::uint8_t> payload) override;
     std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                const ReserveFn &reserve) override;
-    void registerHandler(NodeId node, RequestHandler handler) override;
-    std::vector<std::uint8_t>
-    request(NodeId src, NodeId dst, int tag,
-            const std::vector<std::uint8_t> &payload,
-            const RequestOptions &opts) override;
 
     /** The loopback port node @p node listens on (tests). */
     std::uint16_t listenPort(NodeId node) const;
@@ -220,18 +213,6 @@ class TcpTransport final : public Transport
          *  this node's event loop thread ever touches it. */
         std::map<int, HdrBuf> hdrPartial;
 
-        /** Outbound control connections, one per destination; the
-         *  per-destination mutex serializes request/reply exchanges
-         *  on the shared connection. */
-        Mutex ctrlMutex;
-        std::map<NodeId, int> ctrlOut GUARDED_BY(ctrlMutex);
-        std::map<NodeId, std::unique_ptr<Mutex>> ctrlPair GUARDED_BY(
-            ctrlMutex);
-        std::uint32_t nextReqId GUARDED_BY(ctrlMutex) = 1;
-
-        /** Inbound control connections; loop-owned, no lock. */
-        std::vector<int> ctrlIn;
-
         std::thread loop;
     };
 
@@ -251,9 +232,6 @@ class TcpTransport final : public Transport
     /** Drop @p peer's pair connection after an orderly EOF. */
     void dropPair(NodeId node, NodeId peer, int fd);
     void drainSends(NodeId node);
-    /** Serve one request frame from @p fd; false when the peer hung
-     *  up (the fd is closed and must be dropped). */
-    bool serveControl(NodeId node, int fd);
 
     /** Add @p fd to @p node's epoll set, tagged for classification. */
     void epollAdd(NodeId node, std::uint64_t token, int fd);
@@ -271,8 +249,6 @@ class TcpTransport final : public Transport
      *  counts) transient failures. */
     int connectTo(NodeId dst, const std::uint8_t *shake,
                   std::size_t shake_len);
-    int ctrlConnFor(Node &n, NodeId src, NodeId dst)
-        REQUIRES(n.ctrlMutex);
 
     /** Return @p bytes a consumer on @p node took to the window of
      *  stream (@p src -> @p node, @p tag), waking @p src's loop when
@@ -289,12 +265,6 @@ class TcpTransport final : public Transport
      *  frame's first byte reaches the socket, so a peer that has
      *  read the frame always finds it counted. */
     void countFrame();
-
-    /** Write all of @p buf to @p fd, timing it into realWireNs.
-     *  BLOCKING — control-plane connections only; the data plane
-     *  goes through sendOrQueue/flushPairWrites so the event loop
-     *  never blocks on a pair socket. */
-    void writeTimed(int fd, const std::uint8_t *buf, std::size_t len);
 
     /** Non-blocking write burst (MSG_DONTWAIT), timed into
      *  realWireNs; returns how many of @p len bytes the socket
@@ -354,8 +324,6 @@ class TcpTransport final : public Transport
     std::map<std::pair<NodeId, NodeId>, PairEntry> pool_ GUARDED_BY(
         poolMutex_);
 
-    Mutex handlerMutex_;
-    std::vector<RequestHandler> handlers_ GUARDED_BY(handlerMutex_);
     std::atomic<bool> running_{true};
 };
 

@@ -2,12 +2,13 @@
  * @file
  * The pluggable transport behind the cluster fabric. ClusterNetwork
  * keeps the consumer-facing API (send/pollTagInto/request) and all the
- * accounting; how bytes actually move between nodes is a Transport:
+ * accounting, and serves request/reply itself; how one-way messages
+ * actually move between nodes is a Transport:
  *
  *  - ModelTransport: the in-process mailboxes the repository started
  *    with — messages move instantly, wire time exists only on the
  *    simulated per-node clocks (net/model_transport.hh);
- *  - TcpTransport: real loopback TCP sockets — one multiplexed data
+ *  - TcpTransport: real loopback TCP sockets — one multiplexed
  *    connection per node pair carrying tagged, length-prefixed
  *    frames, demultiplexed by one epoll event loop per node, with
  *    bounded per-stream credit for backpressure (net/tcp_transport.hh
@@ -15,11 +16,10 @@
  *
  * Both present identical delivery semantics (reliable, per-(src,tag)
  * FIFO, zero-length payload = end of stream), so every consumer —
- * SkywaySocket streams, the type-registry LOOKUP daemon, parallel
- * sender fan-out, the minispark/miniflink shuffle fetch — runs
- * unmodified on either, and `bytesSent`/`messagesSent` match
- * byte-for-byte between a modeled and a real run of the same
- * workload.
+ * SkywaySocket streams, parallel sender fan-out, the
+ * minispark/miniflink shuffle fetch — runs unmodified on either, and
+ * `bytesSent`/`messagesSent` match byte-for-byte between a modeled
+ * and a real run of the same workload.
  */
 
 #ifndef SKYWAY_NET_TRANSPORT_HH
@@ -61,20 +61,6 @@ const char *transportKindName(TransportKind kind);
 std::optional<TransportKind> parseTransportKind(std::string_view name);
 
 /**
- * Knobs for one blocking request/reply round trip. The model
- * transport completes synchronously and ignores them; the TCP
- * transport waits @p timeoutMs for the reply and resends the request
- * up to @p maxRetries times before giving up (each resend counts in
- * `net.connect_retries`). Handlers must therefore be idempotent —
- * the type-registry protocol (register-on-first-sight) is.
- */
-struct RequestOptions
-{
-    std::uint64_t timeoutMs = 2000;
-    int maxRetries = 3;
-};
-
-/**
  * Construction-time knobs for a transport. Only the TCP transport
  * reads them; the model transport has no wire to tune. Environment
  * variables override these defaults so benches can sweep without a
@@ -102,10 +88,10 @@ struct TransportOptions
  */
 struct WireCounters
 {
-    /** Frames written to a socket (data and end-of-stream, requests,
-     *  replies), counted before their first byte is written. */
+    /** Frames written to a socket (data and end-of-stream), counted
+     *  before their first byte is written. */
     std::atomic<std::uint64_t> framesSent{0};
-    /** Connect attempts beyond the first, plus request resends. */
+    /** Connect attempts beyond the first. */
     std::atomic<std::uint64_t> connectRetries{0};
     /** Payload bytes recv()'d straight into ReserveFn storage. */
     std::atomic<std::uint64_t> recvIntoBytes{0};
@@ -114,7 +100,7 @@ struct WireCounters
     /** Wall nanoseconds streams spent stalled on exhausted credit. */
     std::atomic<std::uint64_t> creditStallsNs{0};
     /** Event-loop epoll_wait() returns that reported a ready socket
-     *  (listener, pair or control; the wake pipe alone is not one). */
+     *  (listener or pair; the wake pipe alone is not one). */
     std::atomic<std::uint64_t> epollWakeups{0};
     /** Data connections established into the pair pool (cumulative). */
     std::atomic<std::uint64_t> connectionsPooled{0};
@@ -133,10 +119,10 @@ struct WireCounters
 };
 
 /**
- * The transport interface proper. Implementations deliver messages;
- * they do not charge wire time or count bytes — that is
- * ClusterNetwork's job, which is what keeps the accounting identical
- * across transports.
+ * The transport interface proper. Implementations deliver one-way
+ * messages; they do not charge wire time, count bytes or serve
+ * requests — that is ClusterNetwork's job, which is what keeps the
+ * accounting identical across transports.
  */
 class Transport
 {
@@ -148,17 +134,6 @@ class Transport
      * space).
      */
     using ReserveFn = std::function<std::uint8_t *(std::size_t)>;
-
-    /**
-     * A synchronous request handler a node may register (the type
-     * registry driver's daemon, paper Algorithm 1 part 2). Receives
-     * the request payload, returns the reply payload. On the TCP
-     * transport it runs on the destination node's event loop.
-     */
-    using RequestHandler =
-        std::function<std::vector<std::uint8_t>(NodeId src, int tag,
-                                                const std::vector<
-                                                    std::uint8_t> &)>;
 
     virtual ~Transport() = default;
 
@@ -187,15 +162,6 @@ class Transport
      */
     virtual std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                        const ReserveFn &reserve) = 0;
-
-    /** Register @p handler as @p node's synchronous request daemon. */
-    virtual void registerHandler(NodeId node, RequestHandler handler) = 0;
-
-    /** Blocking request/reply round trip toward @p dst's daemon. */
-    virtual std::vector<std::uint8_t>
-    request(NodeId src, NodeId dst, int tag,
-            const std::vector<std::uint8_t> &payload,
-            const RequestOptions &opts) = 0;
 };
 
 /** Construct the transport behind one fabric of @p node_count nodes. */

@@ -98,11 +98,7 @@ TypeRegistryDriver::handle(NodeId, int tag,
         return encodeView();
     }
     if (tag == regmsg::lookup) {
-        // Algorithm 1 lines 13-19: register-on-first-sight. The
-        // handler may run twice for one request (a timed-out and
-        // resent LOOKUP on the tcp transport) — registering an
-        // already-registered class is a lookup, so the protocol is
-        // naturally idempotent.
+        // Algorithm 1 lines 13-19: register-on-first-sight.
         {
             MutexLock lock(mutex_);
             ++stats_.lookupsServed;
@@ -176,13 +172,6 @@ TypeRegistryWorker::insertView(const std::string &name, std::int32_t id)
         maxId_ = id;
 }
 
-RequestOptions
-TypeRegistryWorker::lookupOptions() const
-{
-    MutexLock lock(mutex_);
-    return lookupOpts_;
-}
-
 std::int32_t
 TypeRegistryWorker::idForClass(const std::string &name)
 {
@@ -200,8 +189,7 @@ TypeRegistryWorker::idForClass(const std::string &name)
     VectorSink sink;
     sink.writeString(name);
     std::vector<std::uint8_t> reply =
-        net_.request(node_, driver_, regmsg::lookup, sink.takeBytes(),
-                     lookupOptions());
+        net_.request(node_, driver_, regmsg::lookup, sink.takeBytes());
     ByteSource src(reply);
     std::int32_t id = src.readI32();
     insertView(name, id);
@@ -223,7 +211,7 @@ TypeRegistryWorker::nameForId(std::int32_t id)
     sink.writeI32(id);
     std::vector<std::uint8_t> reply =
         net_.request(node_, driver_, regmsg::lookupName,
-                     sink.takeBytes(), lookupOptions());
+                     sink.takeBytes());
     ByteSource src(reply);
     std::string name = src.readString();
     if (name.empty())
@@ -270,8 +258,7 @@ TypeRegistryWorker::tryKlassForId(std::int32_t id)
         VectorSink sink;
         sink.writeI32(id);
         std::vector<std::uint8_t> reply = net_.request(
-            node_, driver_, regmsg::lookupName, sink.takeBytes(),
-            lookupOptions());
+            node_, driver_, regmsg::lookupName, sink.takeBytes());
         ByteSource src(reply);
         std::string name = src.readString();
         if (name.empty())

@@ -149,9 +149,9 @@ class TypeRegistryDriver : public TypeResolver
     NodeId node_;
     KlassTable &klasses_;
     /**
-     * Guards registry_/names_/stats_. On the tcp transport handle()
-     * runs on the destination node's pump thread, concurrent with the
-     * driver JVM's own idForClass() calls. Held only across map
+     * Guards registry_/names_/stats_. handle() runs on each
+     * requester's thread, concurrent with other requesters and with
+     * the driver JVM's own idForClass() calls. Held only across map
      * accesses — never across klasses_.load(), whose load hook
      * re-enters idForClass().
      */
@@ -205,22 +205,9 @@ class TypeRegistryWorker : public TypeResolver
         return stats_;
     }
 
-    /**
-     * Bounds every remote LOOKUP this worker issues (timeout and
-     * retry budget on the tcp transport; ignored on the model
-     * transport, which completes synchronously).
-     */
-    void
-    setLookupOptions(const RequestOptions &opts)
-    {
-        MutexLock lock(mutex_);
-        lookupOpts_ = opts;
-    }
-
   private:
     void insertView(const std::string &name, std::int32_t id)
         EXCLUDES(mutex_);
-    RequestOptions lookupOptions() const EXCLUDES(mutex_);
 
     ClusterNetwork &net_;
     NodeId node_;
@@ -239,7 +226,6 @@ class TypeRegistryWorker : public TypeResolver
         mutex_);
     std::int32_t maxId_ GUARDED_BY(mutex_) = -1;
     RegistryStats stats_ GUARDED_BY(mutex_);
-    RequestOptions lookupOpts_ GUARDED_BY(mutex_);
 };
 
 } // namespace skyway

@@ -72,18 +72,18 @@ awaitTag(ClusterNetwork &net, NodeId dst, int tag)
 
 TEST(Frame, HandshakeRoundTrip)
 {
-    frame::Handshake h{frame::channelData, 7};
+    static_assert(frame::handshakeBytes == 8, "u32 magic | i32 src");
+    frame::Handshake h{7};
     std::uint8_t buf[frame::handshakeBytes];
     frame::encodeHandshake(buf, h);
     frame::Handshake out{};
     ASSERT_TRUE(frame::decodeHandshake(buf, out));
-    EXPECT_EQ(out.channel, frame::channelData);
     EXPECT_EQ(out.src, 7);
 }
 
 TEST(Frame, HandshakeRejectsBadMagic)
 {
-    frame::Handshake h{frame::channelControl, 1};
+    frame::Handshake h{1};
     std::uint8_t buf[frame::handshakeBytes];
     frame::encodeHandshake(buf, h);
     buf[0] ^= 0xFF;
@@ -101,19 +101,6 @@ TEST(Frame, MuxHeaderRoundTrip)
     EXPECT_EQ(out.origin, 3);
     EXPECT_EQ(out.tag, -9);
     EXPECT_EQ(out.arg, 123456u);
-}
-
-TEST(Frame, ControlHeaderRoundTrip)
-{
-    frame::ControlHeader h{frame::kindReply, 2, 101, 77, 9};
-    std::uint8_t buf[frame::controlHeaderBytes];
-    frame::encodeControlHeader(buf, h);
-    frame::ControlHeader out = frame::decodeControlHeader(buf);
-    EXPECT_EQ(out.kind, frame::kindReply);
-    EXPECT_EQ(out.src, 2);
-    EXPECT_EQ(out.tag, 101);
-    EXPECT_EQ(out.reqId, 77u);
-    EXPECT_EQ(out.len, 9u);
 }
 
 TEST(TransportKindTest, NamesParse)
@@ -220,8 +207,8 @@ TEST(TcpCluster, RequestReply)
     auto reply = net.request(0, 1, 9, bytesOf("abc"));
     EXPECT_EQ(str(reply), "cba");
     EXPECT_GT(net.wireNs(0), 0u);
-    EXPECT_GT(net.realWireNs(), 0u);
-    EXPECT_GT(net.framesSent(), 0u);
+    // Requests never touch a socket: the cost is modeled only.
+    EXPECT_EQ(net.framesSent(), 0u);
 }
 
 TEST(TcpCluster, RequestWithoutHandlerPanics)
@@ -233,33 +220,27 @@ TEST(TcpCluster, RequestWithoutHandlerPanics)
         {
             ClusterNetwork net(2, gigabitEthernet(),
                                TransportKind::Tcp);
-            net.request(0, 1, 1, {}, RequestOptions{200, 0});
+            net.request(0, 1, 1, {});
         },
-        "no registered handler|timed out");
+        "no registered handler");
 }
 
-TEST(TcpCluster, RequestTimeoutRetriesThenSucceeds)
+/** A slow handler is answered, not raced: no timeout fires, no
+ *  resend runs the handler a second time, and nothing reconnects. */
+TEST(TcpCluster, SlowHandlerRunsOnce)
 {
     ClusterNetwork net(2, gigabitEthernet(), TransportKind::Tcp);
     std::atomic<int> calls{0};
     net.registerHandler(
         1, [&calls](NodeId, int, const std::vector<std::uint8_t> &p) {
-            // First serve stalls past the requester's timeout; the
-            // resent request (same payload — the protocol is
-            // idempotent) is answered promptly.
-            if (calls.fetch_add(1) == 0) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1000));
-            }
+            calls.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
             return p;
         });
-    RequestOptions opts;
-    opts.timeoutMs = 300;
-    opts.maxRetries = 5;
-    auto reply = net.request(0, 1, 4, bytesOf("ping"), opts);
+    auto reply = net.request(0, 1, 4, bytesOf("ping"));
     EXPECT_EQ(str(reply), "ping");
-    EXPECT_GE(net.connectRetries(), 1u);
-    EXPECT_GE(calls.load(), 2);
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_EQ(net.connectRetries(), 0u);
 }
 
 TEST(TcpCluster, ResetAccountingClearsWireCounters)
@@ -695,8 +676,7 @@ TEST(TcpCluster, PeerDisconnectAtFrameEdgeRecovers)
     // A foreign peer handshakes as node 0's data end...
     int fd = rawConnect(t.listenPort(1));
     std::uint8_t shake[frame::handshakeBytes];
-    frame::encodeHandshake(shake,
-                           frame::Handshake{frame::channelData, 0});
+    frame::encodeHandshake(shake, frame::Handshake{0});
     rawSend(fd, shake, sizeof(shake));
     // ...delivers one complete frame...
     std::uint8_t hdr[frame::muxHeaderBytes];
@@ -740,8 +720,7 @@ TEST(TcpCluster, PeerClosingMidFramePanics)
             TcpTransport t(2, wire);
             int fd = rawConnect(t.listenPort(1));
             std::uint8_t shake[frame::handshakeBytes];
-            frame::encodeHandshake(
-                shake, frame::Handshake{frame::channelData, 0});
+            frame::encodeHandshake(shake, frame::Handshake{0});
             rawSend(fd, shake, sizeof(shake));
             // Half a mux header, then hang up: a torn frame.
             std::uint8_t partial[5];
@@ -763,8 +742,7 @@ TEST(TcpCluster, PeerSendingUnknownFrameKindPanics)
             TcpTransport t(2, wire);
             int fd = rawConnect(t.listenPort(1));
             std::uint8_t shake[frame::handshakeBytes];
-            frame::encodeHandshake(
-                shake, frame::Handshake{frame::channelData, 0});
+            frame::encodeHandshake(shake, frame::Handshake{0});
             rawSend(fd, shake, sizeof(shake));
             // Stream data (kind 4) is the only mux kind; anything
             // else is protocol damage.
@@ -1214,17 +1192,26 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_F(TcpSkywayTest, TypeRegistryLookupOverSockets)
 {
     // Loading a class the worker's view predates forces a LOOKUP
-    // round trip over the real control socket.
+    // round trip to the driver's daemon; ClusterNetwork serves it on
+    // the requester's thread, with no socket in between.
     auto *worker =
         dynamic_cast<TypeRegistryWorker *>(&nodeA_.resolver());
     ASSERT_NE(worker, nullptr);
+    auto *registry =
+        dynamic_cast<TypeRegistryDriver *>(&driver_.resolver());
+    ASSERT_NE(registry, nullptr);
     RegistryStats before = worker->stats();
+    RegistryStats servedBefore = registry->stats();
 
     Klass *k = nodeA_.klasses().load("test.Point3D");
     ASSERT_NE(k, nullptr);
     EXPECT_GE(k->tid(), 0);
     RegistryStats after = worker->stats();
     EXPECT_GT(after.remoteLookupsIssued, before.remoteLookupsIssued);
+    // Exactly once: the driver served one LOOKUP per one issued.
+    EXPECT_EQ(
+        registry->stats().lookupsServed - servedBefore.lookupsServed,
+        after.remoteLookupsIssued - before.remoteLookupsIssued);
 
     // The driver handed out the id it recorded.
     EXPECT_EQ(driver_.resolver().idForClass("test.Point3D"), k->tid());

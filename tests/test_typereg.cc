@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "support/bytebuffer.hh"
 #include "typereg/registry.hh"
 
@@ -85,9 +87,48 @@ TEST_F(TypeRegTest, LookupCachedAfterFirstMiss)
     std::int32_t id2 = worker.idForClass("app.Late");
     EXPECT_EQ(id1, id2);
     EXPECT_EQ(worker.stats().remoteLookupsIssued, 1u);
+    // Exactly once: the driver served as many LOOKUPs as were issued.
+    EXPECT_EQ(driver.stats().lookupsServed,
+              worker.stats().remoteLookupsIssued);
     // At-most-once per class per machine: exactly one class string
     // crossed the wire for app.Late from this worker.
     EXPECT_EQ(worker.stats().classStringsSent, 1u);
+}
+
+/** Handlers run on the requester's thread, so requesters on
+ *  different threads run the driver's daemon concurrently (the case
+ *  the TSan gate covers). Every LOOKUP is still served exactly once
+ *  and every node agrees on the ids. */
+TEST_F(TypeRegTest, ConcurrentRequestersServedExactlyOnce)
+{
+    TypeRegistryDriver driver(net_, 0, *driverKt_);
+    TypeRegistryWorker wa(net_, 1, 0, *workerKtA_);
+    TypeRegistryWorker wb(net_, 2, 0, *workerKtB_);
+    const char *names[] = {"app.Record", "app.Extra", "app.Late"};
+    std::int32_t ids[2][2][3];
+    std::vector<std::thread> threads;
+    for (int w = 0; w < 2; ++w) {
+        for (int t = 0; t < 2; ++t) {
+            threads.emplace_back([&, w, t] {
+                TypeRegistryWorker &worker = w == 0 ? wa : wb;
+                for (int c = 0; c < 3; ++c)
+                    ids[w][t][c] = worker.idForClass(names[(c + t) % 3]);
+            });
+        }
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (int w = 0; w < 2; ++w) {
+        for (int t = 0; t < 2; ++t) {
+            for (int c = 0; c < 3; ++c)
+                EXPECT_EQ(ids[w][t][c],
+                          driver.idForClass(names[(c + t) % 3]));
+        }
+    }
+    EXPECT_EQ(driver.size(), 3u);
+    EXPECT_EQ(driver.stats().lookupsServed,
+              wa.stats().remoteLookupsIssued +
+                  wb.stats().remoteLookupsIssued);
 }
 
 TEST_F(TypeRegTest, KlassForIdResolvesAndLoads)

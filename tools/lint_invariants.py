@@ -33,10 +33,12 @@ walks the call graph from ``expandSegment``/``expandCompactSegment``,
 flagging the same blocking primitives as rule 1 plus direct
 ``request()`` round trips.
 
-All rules carry an explicit allowlist with a justification per entry
-— by-design blocking (the control plane serves strict request/reply
-exchanges) is *checked*, not silenced: an allowlisted name that stops
-matching anything fails the lint, so entries cannot rot.
+Rules 1 and 2 carry an explicit allowlist with a justification per
+entry — by-design blocking (the once-per-connection handshake) is
+*checked*, not silenced: an allowlisted name that stops matching
+anything fails the lint, so entries cannot rot. Rule 2's allowlist is
+empty: request() runs the destination's handler synchronously on the
+caller's thread, so a lock held across it has no exception.
 
 ``--selftest`` runs both engines over tests/lint_fixtures/ — every
 ``fail_*.cc`` snippet must trip its rule, every ``pass_*.cc`` must
@@ -55,12 +57,6 @@ import sys
 
 #: Rule 1: functions the event-loop walk does not descend into.
 ALLOW_LOOP_BLOCKING = {
-    "serveControl": (
-        "control-plane handler: serves one strict request/reply "
-        "exchange with blocking reads/writes by design; bounded by "
-        "the peer's single in-flight request (TRANSPORT.md control "
-        "plane)"
-    ),
     "acceptPending": (
         "handshake read on a freshly accepted connection: the "
         "connecting side sends the handshake immediately after "
@@ -68,32 +64,22 @@ ALLOW_LOOP_BLOCKING = {
         "connection"
     ),
     "connectTo": (
-        "pair/control establishment: blocking connect + handshake "
+        "pair establishment: blocking connect + handshake "
         "send, once per connection, with poolMutex_ dropped (see "
         "pairFdOrClaim) so no other node's loop can stall on it"
     ),
 }
 
 #: Rule 2: (file suffix, lock variable name) -> justification.
-ALLOW_LOCK_ROUND_TRIP = {
-    ("src/net/tcp_transport.cc", "exchange"): (
-        "TcpTransport::request's per-(src,dst) exchange mutex IS the "
-        "protocol: the shared control connection carries strict "
-        "request/reply exchanges, so the lock must span the round "
-        "trip; it guards nothing else and nothing else ever takes it"
-    ),
-}
+ALLOW_LOCK_ROUND_TRIP = {}
 
 #: Rule 1: unbounded-blocking primitives by name.
 BLOCKING_PRIMITIVES = {"sendFully", "recvFully"}
 
 #: Rule 2: calls that (may) perform a network round trip — the
-#: blocking request() API, the class-loader hook (which re-enters the
-#: registry and may itself issue a LOOKUP), and the control plane's
-#: blocking write (half of an exchange).
-ROUND_TRIP_RE = re.compile(
-    r"(?:\.|->)request\s*\(|klasses_\.load\s*\(|\bwriteTimed\s*\("
-)
+#: blocking request() API and the class-loader hook (which re-enters
+#: the registry and may itself issue a LOOKUP).
+ROUND_TRIP_RE = re.compile(r"(?:\.|->)request\s*\(|klasses_\.load\s*\(")
 
 #: Lock-scope openers (raw std guards are banned in favor of the
 #: annotated wrappers, but the scanner understands both so a
@@ -345,8 +331,8 @@ def run(root: pathlib.Path) -> int:
         "event loop (checked allowlist: "
         f"{', '.join(sorted(loop_allow_hits))}); no lock held across "
         "a round trip (checked allowlist: "
-        f"{', '.join(sorted(lock_allow_hits))}); no blocking call in "
-        "the compact expand path"
+        f"{', '.join(sorted(lock_allow_hits)) or 'none'}); no blocking "
+        "call in the compact expand path"
     )
     return 0
 
